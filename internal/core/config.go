@@ -34,6 +34,11 @@
 // timing parameters, which keeps correctness arguments independent of
 // performance modeling (the paradigm's central decoupling, preserved in the
 // simulator's structure).
+//
+// The verify/commit unit (Retirer, retire.go) and the master's fork policy
+// (ForkPolicy) are engine-agnostic: internal/parallel retires and forks
+// through the same code, supplying only its own clock and recovery through
+// the Engine interface.
 package core
 
 import (
@@ -230,21 +235,28 @@ func DefaultConfig() Config {
 	}
 }
 
+// validate checks the structural parameters both machines use.
 func (c *Config) validate() error {
 	if c.Slaves < 1 {
 		return fmt.Errorf("core: need at least one slave, got %d", c.Slaves)
 	}
-	if c.MasterCPI <= 0 || c.SlaveCPI <= 0 {
-		return fmt.Errorf("core: CPIs must be positive")
-	}
 	if c.MaxTaskLen == 0 {
 		return fmt.Errorf("core: MaxTaskLen must be positive")
 	}
-	if c.SpawnLatency < 0 || c.CommitLatency < 0 || c.CommitPerWord < 0 || c.SquashPenalty < 0 {
-		return fmt.Errorf("core: negative latency")
-	}
 	if c.MasterRunaheadCap == 0 {
 		return fmt.Errorf("core: MasterRunaheadCap must be positive")
+	}
+	return nil
+}
+
+// validateTiming checks the cycle model's parameters, which only the
+// deterministic machine reads.
+func (c *Config) validateTiming() error {
+	if c.MasterCPI <= 0 || c.SlaveCPI <= 0 {
+		return fmt.Errorf("core: CPIs must be positive")
+	}
+	if c.SpawnLatency < 0 || c.CommitLatency < 0 || c.CommitPerWord < 0 || c.SquashPenalty < 0 {
+		return fmt.Errorf("core: negative latency")
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"mssp/internal/cpu"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
-	"mssp/internal/state"
 	"mssp/internal/task"
 )
 
@@ -39,12 +38,9 @@ type master struct {
 	// overwrote distilled code.
 	code *cpu.Code
 
-	clock          float64
-	instsSinceFork uint64
-	// crossings counts dynamic executions of each anchor's FORK since the
-	// last taken fork; the count for the taken anchor becomes the task's
-	// EndCount so the slave lets the same number of occurrences pass.
-	crossings map[uint64]uint64
+	clock float64
+	// pol is this life's fork policy (retire.go).
+	pol ForkPolicy
 }
 
 // masterEnv adapts the master to cpu.Env, teeing stores into the write log.
@@ -95,82 +91,57 @@ func (m *Machine) runToFork() (anchor uint64, count uint64, stop masterStop) {
 	for {
 		in, err := ms.code.Step(env)
 		if err != nil {
-			ms.alive = false
-			m.metrics.MasterLost++
-			return 0, 0, masterLost
+			return m.lose()
 		}
-		m.metrics.MasterInsts++
+		ms.pol.Ran(1)
 		ms.clock += m.cfg.MasterCPI
-		ms.instsSinceFork++
 
 		switch in.Op {
 		case isa.OpHalt:
 			ms.alive = false
-			m.metrics.MasterHalts++
+			m.r.Metrics.MasterHalts++
 			return 0, 0, masterHalted
-
 		case isa.OpFork:
-			a := uint64(in.Imm)
-			ms.crossings[a]++
-			if ms.instsSinceFork <= m.cfg.MinTaskSpacing {
-				m.metrics.ForksSkipped++
-				break
+			if c, ok := ms.pol.Fork(uint64(in.Imm)); ok {
+				return uint64(in.Imm), c, masterForked
 			}
-			// The adaptive policy suppresses forks at sites whose
-			// checkpoints keep squashing, merging their regions into
-			// longer neighboring tasks. The life's first fork (primed
-			// spacing counter) is always taken: it restarts speculation
-			// exactly where architected state stands. The skip is bounded
-			// at half the run-ahead cap — a disabled site forks anyway
-			// once the master has run that far, so backing off the only
-			// site in a program merges regions instead of driving the
-			// master lost.
-			if ms.instsSinceFork < 1<<61 && ms.instsSinceFork <= m.cfg.MasterRunaheadCap/2 &&
-				!m.plan.Eligible(a) {
-				m.metrics.PolicyForksSkipped++
-				break
-			}
-			ms.instsSinceFork = 0
-			c := ms.crossings[a]
-			clear(ms.crossings)
-			return a, c, masterForked
-
 		case isa.OpJalr:
-			// Indirect-jump targets in distilled code are original-program
-			// addresses (the distiller predicts original link values);
-			// translate them into the distilled address space. A target
-			// with no translation that does not look like distilled code
-			// means the master has lost its way.
-			target := ms.pc
-			if dpc, ok := m.dist.OrigToDist[target]; ok {
-				ms.pc = dpc
-			} else if !m.dist.Prog.InCode(target) {
-				ms.alive = false
-				m.metrics.MasterLost++
-				return 0, 0, masterLost
+			pc, ok := ms.pol.Jump(ms.pc)
+			if !ok {
+				return m.lose()
 			}
+			ms.pc = pc
 		}
 
-		if ms.instsSinceFork > m.cfg.MasterRunaheadCap {
-			ms.alive = false
-			m.metrics.MasterLost++
-			return 0, 0, masterLost
+		if ms.pol.Lost() {
+			return m.lose()
 		}
 	}
 }
 
-// reseed restarts the master from architected state at time now. The
-// architected PC must translate into the distilled program; if it does not,
-// the master stays dead and the main loop continues in fallback mode.
-func (m *Machine) reseed(now float64) {
-	dpc, ok := m.dist.OrigToDist[m.arch.PC]
+// lose kills a master that lost its way; recovery reseeds it.
+func (m *Machine) lose() (uint64, uint64, masterStop) {
+	m.master.alive = false
+	m.r.Metrics.MasterLost++
+	return 0, 0, masterLost
+}
+
+// reseed restarts the master from architected state at the current model
+// time, the later of the last commit and the master's own clock; it is the
+// machine's Engine.Reseed. The architected PC must
+// translate into the distilled program; if it does not, the master stays
+// dead and the main loop continues in fallback mode.
+func (m *Machine) reseed() {
+	arch := m.r.Arch
+	dpc, ok := m.dist.OrigToDist[arch.PC]
 	if !ok {
 		m.master.alive = false
 		return
 	}
 	ms := &m.master
-	ms.regs = m.arch.Regs
-	ms.memory = m.arch.Mem.Snapshot()
+	ms.clock = maxf(m.lastCommitEnd, ms.clock)
+	ms.regs = arch.Regs
+	ms.memory = arch.Mem.Snapshot()
 	ms.memory.CopyWords(m.dist.Prog.Code.Base, m.dist.Prog.Code.Words)
 	ms.diff = mem.NewOverlay()
 	ms.diffAtFork = 0
@@ -178,26 +149,8 @@ func (m *Machine) reseed(now float64) {
 	ms.ckVersion = 0
 	ms.pc = dpc
 	ms.code = cpu.NewCode(m.distCode)
-	ms.clock = now
-	// The master restarts on the fork at the architected PC; that fork
-	// must be taken unconditionally (it starts the first post-reseed task
-	// exactly where architected state stands), so the spacing counter is
-	// primed past any threshold.
-	ms.instsSinceFork = 1 << 62
-	ms.crossings = make(map[uint64]uint64)
 	ms.alive = true
-
-	// A reseed is the predictor's lockstep point: nothing is in flight and
-	// architected state is the only truth, so the consultation plan for
-	// the coming life freezes here and the per-site chain indices restart.
-	m.firstFork = true
-	if m.predictOn() {
-		m.plan = m.cfg.Predictor.Plan()
-		m.lifeCount = make(map[uint64]int)
-		if d := m.plan.Disabled(); d > 0 {
-			m.emit(LifecycleEvent{Kind: LifecyclePolicy, Cycle: now, Disabled: d})
-		}
-	}
+	ms.pol = m.r.NewLife(&m.r.Metrics)
 }
 
 // checkpoint captures the master's current prediction of machine state.
@@ -226,7 +179,3 @@ func (m *Machine) checkpoint() task.Checkpoint {
 	}
 	return ck
 }
-
-// archSnapshot freezes architected state for a spawning task, recycling a
-// retired task's snapshot allocation when one is free.
-func (m *Machine) archSnapshot() *state.State { return m.pool.CloneState(m.arch) }

@@ -208,9 +208,6 @@ var executors = []struct {
 		}
 		return total, nil
 	}},
-	{"threaded", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
-		return NewThreaded(fuse.Predecode(p, fuse.Options{})).RunState(s, max)
-	}},
 }
 
 // TestFastSlowEquivalence runs every program through every execution core and

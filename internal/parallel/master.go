@@ -1,9 +1,9 @@
 package parallel
 
 import (
+	"mssp/internal/core"
 	"mssp/internal/cpu"
 	"mssp/internal/mem"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -12,17 +12,16 @@ import (
 // the distilled program from a reseed point until it halts, gets lost, or is
 // stopped by a squash. The coordinator owns the life's creation (it builds
 // the memory image, so every architected-family snapshot the coordinator
-// depends on stays ordered) and its teardown (close stop, then receive the
-// exit report).
+// depends on stays ordered) and its teardown (close stop, then wait for
+// exited).
 //
 // Channel discipline: forkCh is unbuffered, so a fork either transfers
 // synchronously to the coordinator or the master sees stop — a squashed
-// life can never leave a stale fork buffered. exitCh has capacity one, so
-// the master can always report its end and exit without waiting for the
-// coordinator.
+// life can never leave a stale fork buffered. The master closes exited on
+// its way out, so it never waits for the coordinator to collect it.
 type masterLife struct {
 	forkCh chan forkMsg
-	exitCh chan masterExit
+	exited chan struct{}
 	stop   chan struct{}
 
 	// st is the master's private machine state: distilled code overlaid on
@@ -31,10 +30,12 @@ type masterLife struct {
 	st   *state.State
 	code *cpu.Code
 
-	// plan is the adaptive fork policy's reseed-frozen eligibility snapshot
-	// (nil when prediction is off → every site eligible). Immutable, so the
-	// life reads it without synchronization beyond the spawn handoff.
-	plan *predict.Plan
+	// pol is the life's fork policy and tally its counts (master
+	// instructions, skipped forks, how the life ended). Both are written
+	// only by the master goroutine; the coordinator reads tally after
+	// exited closes.
+	pol   core.ForkPolicy
+	tally core.Metrics
 }
 
 // forkMsg is one taken fork: the next task's anchor, the number of times the
@@ -46,45 +47,18 @@ type forkMsg struct {
 	ck     task.Checkpoint
 }
 
-// masterStop says why a master life ended.
-type masterStop uint8
-
-const (
-	masterHalted masterStop = iota
-	masterLost
-	masterStopped // coordinator squashed this life
-)
-
-// masterExit is a life's final report. Per-life metric counts ride here (and
-// nowhere else) so the coordinator folds them in with a happens-before edge
-// instead of sharing counters across goroutines.
-type masterExit struct {
-	stop          masterStop
-	insts         uint64
-	skipped       uint64 // forks skipped by MinTaskSpacing
-	policySkipped uint64 // forks suppressed by the adaptive fork policy
-}
-
 // masterChunk bounds one RunToStop call so the stop channel is polled at a
 // predictable period even in fork-free distilled code.
 const masterChunk = 4096
 
-// runMaster is the master goroutine body. It reproduces the deterministic
-// machine's fork policy (crossing counts, MinTaskSpacing, the run-ahead cap,
-// indirect-target translation) on top of the devirtualized cpu.RunToStop
-// loop, and computes checkpoint diffs by page-diffing against the previous
-// fork's snapshot instead of teeing every store through an overlay — the
-// hot loop is the same one the SEQ baseline runs.
+// runMaster is the master goroutine body. It applies the shared fork policy
+// on top of the devirtualized cpu.RunToStop loop, and computes checkpoint
+// diffs by page-diffing against the previous fork's snapshot instead of
+// teeing every store through an overlay — the hot loop is the same one the
+// SEQ baseline runs.
 func (e *Engine) runMaster(l *masterLife) {
-	st := l.st
-	var exit masterExit
-
-	// instsSinceFork is primed past any spacing threshold: the reseed fork
-	// at the architected PC must be taken unconditionally. If the first
-	// instruction is not a taken fork the run-ahead check declares the
-	// master lost, exactly like the deterministic machine.
-	instsSinceFork := uint64(1) << 62
-	crossings := make(map[uint64]uint64)
+	defer close(l.exited)
+	st, pol := l.st, &l.pol
 
 	// diffBase is the master's memory as of the previous fork (initially the
 	// reseed image); cum accumulates all predicted writes since reseed.
@@ -104,61 +78,28 @@ func (e *Engine) runMaster(l *masterLife) {
 	for {
 		select {
 		case <-l.stop:
-			exit.stop = masterStopped
-			l.exitCh <- exit
 			return
 		default:
 		}
 
-		chunk := uint64(masterChunk)
-		if instsSinceFork <= e.cfg.MasterRunaheadCap {
-			if left := e.cfg.MasterRunaheadCap - instsSinceFork + 1; left < chunk {
-				chunk = left
-			}
-		} else {
-			chunk = 1
-		}
-
-		res, err := l.code.RunToStop(st, chunk)
-		exit.insts += res.Steps
-		instsSinceFork += res.Steps
+		res, err := l.code.RunToStop(st, pol.Budget(masterChunk))
+		pol.Ran(res.Steps)
 		storesSince += res.Stores
 		if err != nil {
-			exit.stop = masterLost
-			l.exitCh <- exit
+			l.tally.MasterLost++
 			return
 		}
 
 		switch res.Kind {
 		case cpu.StopHalt:
-			exit.stop = masterHalted
-			l.exitCh <- exit
+			l.tally.MasterHalts++
 			return
 
 		case cpu.StopFork:
-			a := res.Anchor
-			crossings[a]++
-			if instsSinceFork <= e.cfg.MinTaskSpacing {
-				exit.skipped++
+			c, take := pol.Fork(res.Anchor)
+			if !take {
 				break
 			}
-			// The adaptive policy suppresses forks at sites whose
-			// checkpoints keep squashing, merging their regions into longer
-			// neighboring tasks. The life's first fork (primed spacing
-			// counter) is always taken: it restarts speculation exactly
-			// where architected state stands. The skip is bounded at half
-			// the run-ahead cap — a disabled site forks anyway once the
-			// master has run that far, so backing off the only site in a
-			// program merges regions instead of driving the master lost.
-			if instsSinceFork < 1<<61 && instsSinceFork <= e.cfg.MasterRunaheadCap/2 &&
-				!l.plan.Eligible(a) {
-				exit.policySkipped++
-				break
-			}
-			instsSinceFork = 0
-			c := crossings[a]
-			clear(crossings)
-
 			var ck task.Checkpoint
 			if e.shareCk && storesSince == 0 {
 				d := prevCk
@@ -178,31 +119,22 @@ func (e *Engine) runMaster(l *masterLife) {
 				storesSince = 0
 			}
 			select {
-			case l.forkCh <- forkMsg{anchor: a, count: c, ck: ck}:
+			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
 			case <-l.stop:
-				exit.stop = masterStopped
-				l.exitCh <- exit
 				return
 			}
 
 		case cpu.StopJalr:
-			// Indirect-jump targets in distilled code are original-program
-			// addresses; translate them into the distilled address space. An
-			// untranslatable target that is not already distilled code means
-			// the master has lost its way.
-			target := st.PC
-			if dpc, ok := e.dist.OrigToDist[target]; ok {
-				st.PC = dpc
-			} else if !e.dist.Prog.InCode(target) {
-				exit.stop = masterLost
-				l.exitCh <- exit
+			pc, ok := pol.Jump(st.PC)
+			if !ok {
+				l.tally.MasterLost++
 				return
 			}
+			st.PC = pc
 		}
 
-		if instsSinceFork > e.cfg.MasterRunaheadCap {
-			exit.stop = masterLost
-			l.exitCh <- exit
+		if pol.Lost() {
+			l.tally.MasterLost++
 			return
 		}
 	}

@@ -9,14 +9,19 @@
 // model in which "parallelism" is bookkeeping over a single goroutine. This
 // package executes the same paradigm with real concurrency — the master runs
 // ahead on its own goroutine while slaves execute speculative tasks on a
-// worker pool — and is differentially checked against core: because commits
-// only happen when a task's recorded live-ins are consistent with architected
-// state, the final architected state is schedule-independent and must equal
-// the deterministic machine's (and SEQ's) bit for bit, no matter how the
-// goroutines interleave. Squash counts and the fork schedule may differ
-// (the parallel master keeps running while older work verifies, so it can be
-// further ahead or behind than the model predicts); the refinement argument
-// does not depend on them.
+// worker pool. Both machines retire tasks through one core.Retirer and fork
+// through one core.ForkPolicy, so verify precedence, commit, squash
+// accounting, sequential fallback, prediction and task construction are the
+// same code. Only two things differ, behind the core.Engine interface: the
+// clock (a virtual tick per event here, model cycles in core) and recovery
+// (here an epoch bump, release of the slots not in flight, a ring squash and
+// a stopped master life). Because commits only happen when a task's recorded
+// live-ins are consistent with architected state, the final architected
+// state is schedule-independent and must equal the deterministic machine's
+// (and SEQ's) bit for bit, no matter how the goroutines interleave. Squash
+// counts and the fork schedule may differ (the parallel master keeps running
+// while older work verifies, so it can be further ahead or behind than the
+// model predicts); the refinement argument does not depend on them.
 //
 // # Threading model
 //
@@ -24,7 +29,7 @@
 // architected state, the reservation ring, metrics, and event emission.
 // Everything else communicates with it over channels:
 //
-//	master life ── forkCh/exitCh ──▶ coordinator ◀── resultCh ── slave workers
+//	master life ── forkCh/exited ──▶ coordinator ◀── resultCh ── slave workers
 //	                                     │ dispatchCh
 //	                                     ▼
 //	                               slave workers
@@ -48,13 +53,11 @@
 // place of model time: wall-clock timestamps would make the stream
 // nondeterministic and are banned from engine code anyway (goanalysis GA001).
 // Timing fields of core.Config (CPIs, latencies, penalties) are ignored;
-// structural fields (Slaves, TaskBuffer, MaxTaskLen, MasterRunaheadCap,
-// MinTaskSpacing, fault injection, ...) mean exactly what they mean in core.
+// structural fields mean exactly what they mean in core.
 package parallel
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -64,7 +67,6 @@ import (
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -96,25 +98,21 @@ func Run(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Result, err
 // Engine is one parallel MSSP machine instance, single-use. All fields are
 // coordinator-owned unless noted.
 type Engine struct {
-	cfg  core.Config
-	orig *isa.Program
+	// r is the shared retire unit: architected state, metrics, the task
+	// pool and the predictor's program-order state. The pool is also used
+	// by the slave workers (Execute); each borrowed object stays
+	// goroutine-confined between the pool's internal lock hand-offs.
+	r    *core.Retirer
+	cfg  *core.Config // the retire unit's, defaults applied; read-only
 	dist *distill.Result
 
-	anchors map[uint64]bool
-	arch    *state.State
-
-	origCode  *isa.DecodedProgram
-	distCode  *isa.DecodedProgram
-	codeClean bool
+	// distCode is the predecoded distilled program master lives run over
+	// (nil when the fast path is disabled).
+	distCode *isa.DecodedProgram
 
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
 
-	// pool recycles task scratch and architected snapshots. It is shared by
-	// the coordinator (CloneState/Release points) and the slave workers
-	// (Execute); each borrowed object stays goroutine-confined between the
-	// pool's internal lock hand-offs.
-	pool task.Pool
 	// shareCk allows checkpoints to reuse the previous diff snapshot (or the
 	// shared empty diff) over store-free master stretches. Disabled under
 	// fault injection, whose CorruptCheckpoint hook mutates checkpoint diffs
@@ -129,91 +127,38 @@ type Engine struct {
 	life *masterLife // nil while the master is dead
 
 	// dispatchCh carries closed slots to the worker pool; resultCh carries
-	// them back with s.ex filled in. Capacities are sized so workers never
+	// them back with s.Ex filled in. Capacities are sized so workers never
 	// block on resultCh and the coordinator rarely blocks on dispatchCh.
 	dispatchCh chan *slot
 	resultCh   chan *slot
 	workerWg   sync.WaitGroup
 	goroutines int
 
-	metrics core.Metrics
-	taskSeq uint64
-	// vclock is the virtual clock stamped on lifecycle events: a counter
-	// incremented per event, giving a deterministic, monotone Cycle field
-	// without wall-clock time.
+	// vclock is the virtual clock stamped on lifecycle events.
 	vclock float64
-	done   bool
 	err    error
-
-	lastSquashCommitted uint64
-	anySquash           bool
-
-	// plan is the predictor's reseed-frozen consultation snapshot (shared
-	// read-only with the master life for fork eligibility); lifeCount counts
-	// consulted forks per site within the current master life (the chain
-	// index), and firstFork marks the life's first reservation — the exact
-	// task, never consulted and never trained. All three are
-	// coordinator-owned; the life sees the plan through masterLife.plan,
-	// frozen before the spawn handoff.
-	plan      *predict.Plan
-	lifeCount map[uint64]int
-	firstFork bool
 }
 
 func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engine, error) {
-	// Structural validation only — the timing parameters core validates are
-	// ignored here.
-	if cfg.Slaves < 1 {
-		return nil, fmt.Errorf("parallel: need at least one slave, got %d", cfg.Slaves)
+	e := &Engine{dist: dist, shareCk: cfg.Fault == nil, emptyDiff: mem.NewOverlay()}
+	r, err := core.NewRetirer(orig, dist, cfg, e)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxTaskLen == 0 {
-		return nil, fmt.Errorf("parallel: MaxTaskLen must be positive")
-	}
-	if cfg.MasterRunaheadCap == 0 {
-		return nil, fmt.Errorf("parallel: MasterRunaheadCap must be positive")
-	}
-	if err := orig.Validate(); err != nil {
-		return nil, fmt.Errorf("parallel: original program: %w", err)
-	}
-	if cfg.MaxCommitted == 0 {
-		cfg.MaxCommitted = 10_000_000_000
-	}
-	if cfg.SP == 0 {
-		cfg.SP = 1 << 28
-	}
-	if cfg.TaskBuffer == 0 {
-		cfg.TaskBuffer = 4 * cfg.Slaves
-	}
-	if cfg.TaskBuffer < cfg.Slaves {
-		cfg.TaskBuffer = cfg.Slaves
-	}
-	e := &Engine{
-		cfg:        cfg,
-		orig:       orig,
-		dist:       dist,
-		anchors:    dist.AnchorSet(),
-		arch:       state.NewFromProgram(orig, cfg.SP),
-		shareCk:    cfg.Fault == nil,
-		emptyDiff:  mem.NewOverlay(),
-		ring:       newRing(cfg.TaskBuffer),
-		dispatchCh: make(chan *slot, cfg.TaskBuffer),
-		resultCh:   make(chan *slot, cfg.TaskBuffer+cfg.Slaves+4),
-	}
+	e.r, e.cfg = r, &r.Cfg
+	e.ring = newRing(e.cfg.TaskBuffer)
+	e.dispatchCh = make(chan *slot, e.cfg.TaskBuffer)
+	e.resultCh = make(chan *slot, e.cfg.TaskBuffer+e.cfg.Slaves+4)
 	if !cfg.DisableFastPath {
 		if cfg.DisableFusion {
-			e.origCode = isa.Predecode(orig)
 			e.distCode = isa.Predecode(dist.Prog)
 		} else {
-			// Slaves retire fused groups; the anchor set keeps fork targets
-			// out of group interiors (the slave loop guards dynamically too).
-			e.origCode = fuse.Predecode(orig, fuse.Options{Anchors: e.anchors})
 			// The master's RunToStop loop is the one execution context whose
 			// register file is only observed at FORK stops, so its distilled
 			// table may additionally elide dead intermediate writes (see the
 			// internal/fuse package comment for why nothing else may).
 			e.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
 		}
-		e.codeClean = true
 	}
 	return e, nil
 }
@@ -224,10 +169,10 @@ func (e *Engine) run() (*Result, error) {
 		id := i
 		e.spawn(&e.workerWg, func() { e.slaveWorker(id) })
 	}
-	e.reseed()
+	e.Reseed()
 
-	for !e.done && e.err == nil {
-		if e.metrics.CommittedInsts > e.cfg.MaxCommitted {
+	for !e.r.Done && e.err == nil {
+		if e.r.Metrics.CommittedInsts > e.cfg.MaxCommitted {
 			e.err = fmt.Errorf("parallel: committed instructions exceeded MaxCommitted=%d", e.cfg.MaxCommitted)
 			break
 		}
@@ -242,8 +187,8 @@ func (e *Engine) run() (*Result, error) {
 			e.noteResult(s)
 			e.drainResults()
 			e.commitDue()
-		case x := <-e.life.exitCh:
-			e.collectExit(x)
+		case <-e.life.exited:
+			e.collectExit(e.life)
 			e.life = nil
 		}
 	}
@@ -252,7 +197,7 @@ func (e *Engine) run() (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return &Result{Metrics: e.metrics, Final: e.arch, Goroutines: e.goroutines}, nil
+	return &Result{Metrics: e.r.Metrics, Final: e.r.Arch, Goroutines: e.goroutines}, nil
 }
 
 // handleFork processes one taken fork from the live master: close the open
@@ -273,7 +218,7 @@ func (e *Engine) handleFork(fm forkMsg) {
 	// Retire everything already verifiable, so the new task's architected
 	// snapshot is as fresh as possible (fewer stale live-ins to mispredict).
 	e.commitDue()
-	if e.done || e.err != nil || e.epoch.Load() != epoch {
+	if e.r.Done || e.err != nil || e.epoch.Load() != epoch {
 		return
 	}
 
@@ -282,10 +227,10 @@ func (e *Engine) handleFork(fm forkMsg) {
 	for e.ring.Full() {
 		h := e.ring.Head()
 		if h.state == SlotDone {
-			if e.verifyHead() {
+			if e.retireHead() {
 				return // squashed; the fork is stale
 			}
-			if e.done || e.err != nil {
+			if e.r.Done || e.err != nil {
 				return
 			}
 			continue
@@ -297,120 +242,12 @@ func (e *Engine) handleFork(fm forkMsg) {
 		}
 	}
 
-	e.reserve(fm)
-}
-
-// predictOn reports whether the predictor participates in this run: like
-// checkpoint sharing (shareCk), prediction is gated off entirely under
-// fault injection so a corrupted checkpoint can never reach the table.
-func (e *Engine) predictOn() bool {
-	return e.cfg.Predictor != nil && e.cfg.Fault == nil
-}
-
-// consult overrides the checkpoint's unresolved registers with the frozen
-// plan's forecasts for this site's next consulted fork, returning the
-// applied predictions for grading at verify. The first reservation of a
-// life is exact (the master had only executed the FORK at the architected
-// PC) and is never consulted. Identical to core.Machine.consult; because
-// forks arrive at the coordinator in the order the master took them, the
-// chain indices advance exactly as in the deterministic machine.
-func (e *Engine) consult(anchor uint64, ck *task.Checkpoint) []predict.Pred {
-	first := e.firstFork
-	e.firstFork = false
-	if !e.predictOn() || first {
-		return nil
-	}
-	j := e.lifeCount[anchor]
-	e.lifeCount[anchor]++
-	var applied []predict.Pred
-	for mask := e.dist.PredictableRegs[anchor]; mask != 0; mask &= mask - 1 {
-		r := bits.TrailingZeros32(mask)
-		if v, ok := e.plan.Predict(anchor, r, j); ok {
-			ck.Regs[r] = v
-			applied = append(applied, predict.Pred{Reg: r, Val: v})
-		}
-	}
-	return applied
-}
-
-// train delivers one verified outcome to the predictor (no-op when
-// prediction is off or the task is the life's exact first fork). It must
-// run before the task's live-outs are applied: the architected state it
-// hands over is the truth for the task's live-ins. Training happens only
-// here, on the coordinator, in program order — which is what makes the
-// table's evolution schedule-independent.
-func (e *Engine) train(h *slot, committed bool, reason string) {
-	if !e.predictOn() || h.exact {
-		return
-	}
-	hits, misses := e.cfg.Predictor.Train(predict.Observation{
-		Site:      h.t.Start,
-		Applied:   h.applied,
-		LiveIn:    h.ex.LiveIn,
-		Arch:      e.arch,
-		Committed: committed,
-		Reason:    reason,
-	})
-	e.metrics.PredictHits += uint64(hits)
-	e.metrics.PredictMisses += uint64(misses)
-}
-
-// reserve creates the new open reservation for a fork.
-func (e *Engine) reserve(fm forkMsg) {
-	start := fm.anchor
-	ck := fm.ck
-	exact := e.firstFork
-	applied := e.consult(fm.anchor, &ck)
-	if f := e.cfg.Fault; f != nil {
-		// Injection corrupts only the spawning task's predictions — the open
-		// task's end anchor keeps the uncorrupted value, so one injected
-		// fault stays one fault (same contract as core.Machine.spawn).
-		if f.CorruptStart != nil {
-			start = f.CorruptStart(e.taskSeq, fm.anchor)
-		}
-		if f.CorruptCheckpoint != nil {
-			f.CorruptCheckpoint(e.taskSeq, &ck)
-		}
-	}
-	epoch := e.epoch.Load()
-	t := &task.Task{
-		ID:         e.taskSeq,
-		Start:      start,
-		Checkpoint: ck,
-		Snap:       e.pool.CloneState(e.arch),
-		Code:       e.taskCode(),
-		NonSpec:    e.cfg.NonSpecRegions,
-		// Cancel makes in-flight work from squashed epochs abandon itself
-		// instead of running to the cap on a doomed prediction.
-		Cancel: func() bool { return e.epoch.Load() != epoch },
-	}
-	e.metrics.RunaheadSum += uint64(e.ring.Len())
-	s, err := e.ring.Reserve(t, epoch)
-	if err != nil {
+	f := e.r.Fork(fm.anchor, fm.ck, e.ring.Len())
+	// Cancel makes in-flight work from squashed epochs abandon itself
+	// instead of running to the cap on a doomed prediction.
+	f.T.Cancel = func() bool { return e.epoch.Load() != epoch }
+	if _, err := e.ring.Reserve(f, epoch); err != nil {
 		e.err = err
-		return
-	}
-	s.applied = applied
-	s.exact = exact
-	e.taskSeq++
-	e.metrics.Forks++
-	e.metrics.CheckpointNew += uint64(ck.NewDiffWords)
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleFork,
-		Cycle:  e.tick(),
-		TaskID: t.ID,
-		Start:  t.Start,
-		Queue:  e.ring.Len(),
-	})
-	if len(applied) > 0 {
-		e.metrics.PredictApplied += uint64(len(applied))
-		e.emit(core.LifecycleEvent{
-			Kind:   core.LifecyclePredict,
-			Cycle:  e.tick(),
-			TaskID: t.ID,
-			Start:  t.Start,
-			Preds:  len(applied),
-		})
 	}
 }
 
@@ -435,7 +272,7 @@ func (e *Engine) dispatch(s *slot) {
 // worker owned the scratch until this arrival).
 func (e *Engine) noteResult(s *slot) {
 	if s.epoch != e.epoch.Load() {
-		e.releaseSlot(s)
+		e.r.Release(&s.Flight)
 		return
 	}
 	if err := e.ring.Complete(s); err != nil {
@@ -458,353 +295,133 @@ func (e *Engine) drainResults() {
 	}
 }
 
-// releaseSlot returns a retired slot's pooled resources (execution scratch
-// and architected snapshot). Exactly one release point exists per slot:
-// commit in verifyHead, discard in squashAndRecover (open/done slots), or
-// stale-result arrival in noteResult (slots in flight when their epoch died).
-func (e *Engine) releaseSlot(s *slot) {
-	e.pool.Release(s.ex)
-	s.ex = nil
-	e.pool.ReleaseState(s.t.Snap)
-	s.t.Snap = nil
-}
-
 // commitDue retires every head reservation whose result has arrived, in
 // program order, stopping at the first squash (which empties the ring).
 func (e *Engine) commitDue() {
-	for !e.done && e.err == nil {
+	for !e.r.Done && e.err == nil {
 		h := e.ring.Head()
 		if h == nil || h.state != SlotDone {
 			return
 		}
-		if e.verifyHead() {
+		if e.retireHead() {
 			return
 		}
 	}
 }
 
-// verifyHead verifies the oldest reservation (which must hold its result),
-// committing or squashing. Reports whether a squash occurred. This is a port
-// of core.Machine.verifyHead with the timing model replaced by the virtual
-// clock; the functional check order is identical, which is what keeps the
-// two machines' squash taxonomies comparable under fault injection.
-func (e *Engine) verifyHead() (squashed bool) {
+// retireHead hands the oldest reservation (which must hold its result) to
+// the retire unit, popping it from the ring on commit. Reports whether a
+// squash occurred.
+func (e *Engine) retireHead() (squashed bool) {
 	h := e.ring.Head()
-
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleDispatch,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
-		Slave:  h.slave,
-	})
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleVerify,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
-	})
-
-	fail := func(reason string, inc *state.Inconsistency, forceFallback bool) {
-		e.train(h, false, reason)
-		if e.cfg.OnSquash != nil {
-			ev := core.SquashEvent{
-				TaskID:        h.t.ID,
-				Start:         h.t.Start,
-				Reason:        reason,
-				Inconsistency: inc,
-				Discarded:     e.ring.Len() - 1,
-			}
-			if h.ex != nil {
-				ev.Steps = h.ex.Steps
-				ev.LiveIn = h.ex.LiveIn
-			}
-			e.cfg.OnSquash(ev)
-		}
-		e.emit(core.LifecycleEvent{
-			Kind:      core.LifecycleSquash,
-			Cycle:     e.tick(),
-			TaskID:    h.t.ID,
-			Start:     h.t.Start,
-			Reason:    reason,
-			Discarded: e.ring.Len() - 1,
-		})
-		e.squashAndRecover(forceFallback)
+	squashed, err := e.r.Retire(&h.Flight, e.ring.Len()-1)
+	if err == nil && !squashed {
+		err = e.ring.PopCommitted()
 	}
-
-	if f := e.cfg.Fault; f != nil {
-		// Injected failures take precedence over functional verification,
-		// exactly as in the deterministic machine.
-		if f.DropCompletion != nil && f.DropCompletion(h.t.ID) {
-			e.metrics.TasksDropped++
-			fail(core.SquashDropped, nil, false)
-			return true
-		}
-		if f.ForceFallback != nil && f.ForceFallback(h.t.ID) {
-			e.metrics.TasksForced++
-			fail(core.SquashForced, nil, true)
-			return true
-		}
-	}
-	if h.ex.Outcome == task.OutcomeCanceled {
-		// Cancellation implies the slot's epoch died, which implies the slot
-		// left the ring — a canceled head is a protocol violation.
-		e.err = fmt.Errorf("parallel: canceled task %d at verification head", h.t.ID)
-		return false
-	}
-	switch {
-	case h.t.Start != e.arch.PC:
-		e.metrics.TasksStartMismatch++
-		fail(core.SquashStartMismatch, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeOverflow:
-		e.metrics.TasksOverflowed++
-		fail(core.SquashOverflow, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeFault:
-		e.metrics.TasksFaulted++
-		fail(core.SquashFault, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeNonSpec:
-		e.metrics.TasksNonSpec++
-		fail(core.SquashNonSpec, nil, true)
-		return true
-	}
-	if inc := e.arch.FirstInconsistency(h.ex.LiveIn); inc != nil {
-		e.metrics.TasksMisspec++
-		fail(core.SquashLiveIn, inc, false)
-		return true
-	}
-
-	// Commit: the jump. The coordinator is the sole writer of architected
-	// state, so the superimposition needs no locking. The predictor trains
-	// first: architected state is still the truth at the task's start.
-	e.train(h, true, "")
-	e.noteCodeWrites(h.ex.LiveOut)
-	e.arch.Apply(h.ex.LiveOut)
-	if err := e.ring.PopCommitted(); err != nil {
+	if err != nil {
 		e.err = err
-		return false
 	}
-
-	e.metrics.TasksCommitted++
-	e.metrics.CommittedInsts += h.ex.Steps
-	e.metrics.LiveInWords += uint64(h.ex.LiveIn.Len())
-	e.metrics.LiveOutWords += uint64(h.ex.LiveOut.Len())
-
-	halted := h.ex.Outcome == task.OutcomeHalted
-	if e.cfg.OnCommit != nil {
-		e.cfg.OnCommit(core.CommitEvent{
-			Kind:    "task",
-			TaskID:  h.t.ID,
-			Start:   h.t.Start,
-			Steps:   h.ex.Steps,
-			Halted:  halted,
-			LiveIn:  h.ex.LiveIn,
-			LiveOut: h.ex.LiveOut,
-			Arch:    e.arch,
-		})
-	}
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleCommit,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
-		Steps:  h.ex.Steps,
-		Halted: halted,
-	})
-	e.releaseSlot(h)
-
-	if halted {
-		e.done = true
-	}
-	return false
+	return squashed
 }
 
-// squashAndRecover discards all speculative state: the epoch bump invalidates
-// every in-flight slave execution (cooperative cancellation) and stale
-// results (dropped on arrival), the ring is emptied, and the master life is
-// stopped synchronously. Recovery then mirrors core: sequential fallback when
-// forced or when no instructions committed since the previous squash, then a
-// reseed from architected state.
-func (e *Engine) squashAndRecover(forceFallback bool) {
-	e.metrics.Squashes++
-	if n := e.ring.Len(); n > 1 {
-		e.metrics.TasksSquashedDown += uint64(n - 1)
-	}
+// Clock implements core.Engine with a virtual clock: every event advances a
+// counter by one, a deterministic, monotone Cycle without wall-clock time.
+func (e *Engine) Clock(core.LifecycleEvent) float64 {
+	e.vclock++
+	return e.vclock
+}
+
+// Discard implements core.Engine: the epoch bump invalidates every in-flight
+// slave execution (cooperative cancellation) and stale results (dropped on
+// arrival), the ring is emptied, and the master life is stopped
+// synchronously.
+func (e *Engine) Discard() {
 	e.epoch.Add(1)
 	// Reclaim what the coordinator still owns. Closed slots are in flight —
 	// a worker owns their task and scratch until the (now stale) result
 	// arrives back in noteResult, which is their release point.
 	for _, s := range e.ring.slots {
 		if s.state != SlotClosed {
-			e.releaseSlot(s)
+			e.r.Release(&s.Flight)
 		}
 	}
 	e.ring.SquashAll()
 	e.stopMaster()
-
-	if forceFallback || (e.anySquash && e.metrics.CommittedInsts == e.lastSquashCommitted) {
-		e.seqFallback()
-	}
-	e.anySquash = true
-	e.lastSquashCommitted = e.metrics.CommittedInsts
-	if e.done || e.err != nil {
-		return
-	}
-	e.reseed()
 }
 
 // drain handles a dead master: verify whatever is in flight (the youngest
-// reservation runs endless, to halt or the cap), then make progress
-// sequentially and try to revive the master. Mirrors core.Machine.drain.
+// reservation runs endless, to halt or the cap), or with nothing in flight
+// fall back to sequential progress and try to revive the master.
 func (e *Engine) drain() {
-	if !e.ring.Empty() {
-		if open := e.ring.Open(); open != nil {
-			// End remains unknown: the task runs until halt or cap.
-			if err := e.ring.Close(open, 0, 0, false); err != nil {
-				e.err = err
-				return
-			}
-			e.dispatch(open)
-		}
-		h := e.ring.Head()
-		for h.state != SlotDone && e.err == nil {
-			s := <-e.resultCh
-			e.noteResult(s)
-		}
-		if e.err != nil {
+	if e.ring.Empty() {
+		e.r.Fallback()
+		return
+	}
+	if open := e.ring.Open(); open != nil {
+		// End remains unknown: the task runs until halt or cap.
+		if err := e.ring.Close(open, 0, 0, false); err != nil {
+			e.err = err
 			return
 		}
-		e.verifyHead()
-		return
+		e.dispatch(open)
 	}
-	e.seqFallback()
-	if e.done {
-		return
+	h := e.ring.Head()
+	for h.state != SlotDone && e.err == nil {
+		e.noteResult(<-e.resultCh)
 	}
-	// If the architected PC does not map into the distilled program the
-	// master stays dead and the next drain call falls back again; forward
-	// progress is guaranteed because seqFallback always executes at least
-	// one instruction.
-	e.reseed()
+	if e.err == nil {
+		e.retireHead()
+	}
 }
 
-// reseed starts a new master life from architected state, if the architected
-// PC maps into the distilled program.
-func (e *Engine) reseed() {
-	dpc, ok := e.dist.OrigToDist[e.arch.PC]
+// Reseed implements core.Engine: it starts a new master life from
+// architected state, if the architected PC maps into the distilled program.
+func (e *Engine) Reseed() {
+	arch := e.r.Arch
+	dpc, ok := e.dist.OrigToDist[arch.PC]
 	if !ok {
 		e.life = nil
 		return
 	}
-	img := e.arch.Mem.Snapshot()
+	img := arch.Mem.Snapshot()
 	img.CopyWords(e.dist.Prog.Code.Base, e.dist.Prog.Code.Words)
 	l := &masterLife{
 		forkCh: make(chan forkMsg),
-		exitCh: make(chan masterExit, 1),
+		exited: make(chan struct{}),
 		stop:   make(chan struct{}),
-		st:     &state.State{Regs: e.arch.Regs, PC: dpc, Mem: img},
+		st:     &state.State{Regs: arch.Regs, PC: dpc, Mem: img},
 		code:   cpu.NewCode(e.distCode),
 	}
-	// A reseed is the predictor's lockstep point: nothing is in flight and
-	// architected state is the only truth, so the consultation plan for the
-	// coming life freezes here and the per-site chain indices restart. The
-	// frozen plan is immutable, so sharing it with the life's goroutine (for
-	// fork eligibility) is race-free; the spawn handoff orders the writes.
-	e.firstFork = true
-	if e.predictOn() {
-		e.plan = e.cfg.Predictor.Plan()
-		e.lifeCount = make(map[uint64]int)
-		l.plan = e.plan
-		if d := e.plan.Disabled(); d > 0 {
-			e.emit(core.LifecycleEvent{Kind: core.LifecyclePolicy, Cycle: e.tick(), Disabled: d})
-		}
-	}
+	// The policy's frozen plan is immutable, so sharing it with the life's
+	// goroutine is race-free; the spawn handoff orders the writes.
+	l.pol = e.r.NewLife(&l.tally)
 	e.life = l
-	// The life's goroutine is tracked by the exitCh handshake, not the
-	// worker WaitGroup: stopMaster/collectExit always consumes its exit.
+	// The life's goroutine is tracked by its exited channel, not the worker
+	// WaitGroup: stopMaster/collectExit always waits for it.
 	e.spawn(nil, func() { e.runMaster(l) })
 }
 
-// stopMaster stops the current master life, if any, and folds in its exit
-// report. Safe against a life that already exited on its own (exitCh is
-// buffered; the report is waiting).
+// stopMaster stops the current master life, if any, and folds in its
+// tally. Safe against a life that already exited on its own.
 func (e *Engine) stopMaster() {
 	l := e.life
 	if l == nil {
 		return
 	}
 	close(l.stop)
-	e.collectExit(<-l.exitCh)
+	<-l.exited
+	e.collectExit(l)
 	e.life = nil
 }
 
-// collectExit folds a master life's final report into the metrics.
-func (e *Engine) collectExit(x masterExit) {
-	e.metrics.MasterInsts += x.insts
-	e.metrics.ForksSkipped += x.skipped
-	e.metrics.PolicyForksSkipped += x.policySkipped
-	switch x.stop {
-	case masterHalted:
-		e.metrics.MasterHalts++
-	case masterLost:
-		e.metrics.MasterLost++
-	}
-}
-
-// seqFallback executes the original program non-speculatively from the
-// architected state until the next anchor (or halt, or a bound). Identical to
-// core.Machine.seqFallback minus the cycle accounting.
-func (e *Engine) seqFallback() {
-	env := cpu.StateEnv{S: e.arch}
-	code := cpu.NewCode(e.taskCode())
-	var steps uint64
-	bound := 4 * e.cfg.MaxTaskLen
-	halted := false
-	e.emit(core.LifecycleEvent{
-		Kind:  core.LifecycleFallbackEnter,
-		Cycle: e.tick(),
-		Start: e.arch.PC,
-	})
-	for steps < bound {
-		in, err := code.Step(env)
-		if err != nil {
-			halted = true
-			e.done = true
-			break
-		}
-		steps++
-		if in.Op == isa.OpHalt {
-			halted = true
-			e.done = true
-			break
-		}
-		if e.anchors[e.arch.PC] {
-			break
-		}
-	}
-	if code.Dirty() {
-		e.codeClean = false
-	}
-	e.metrics.SeqFallbackInsts += steps
-	e.metrics.CommittedInsts += steps
-
-	if e.cfg.OnCommit != nil && steps > 0 {
-		e.cfg.OnCommit(CommitEventFallback(steps, halted, e.arch))
-	}
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleFallbackExit,
-		Cycle:  e.tick(),
-		Steps:  steps,
-		Halted: halted,
-	})
-}
-
-// CommitEventFallback builds the fallback-chunk commit event (shared shape
-// with core so downstream auditors cannot tell the engines apart).
-func CommitEventFallback(steps uint64, halted bool, arch *state.State) core.CommitEvent {
-	return core.CommitEvent{Kind: "fallback", Steps: steps, Halted: halted, Arch: arch}
+// collectExit folds an exited master life's tally into the metrics.
+func (e *Engine) collectExit(l *masterLife) {
+	m := &e.r.Metrics
+	m.MasterInsts += l.tally.MasterInsts
+	m.ForksSkipped += l.tally.ForksSkipped
+	m.PolicyForksSkipped += l.tally.PolicyForksSkipped
+	m.MasterHalts += l.tally.MasterHalts
+	m.MasterLost += l.tally.MasterLost
 }
 
 // shutdown tears the machine down: stop the master, close the dispatch
@@ -836,49 +453,11 @@ var canceledExec = &task.Exec{Outcome: task.OutcomeCanceled, LiveIn: state.NewDe
 func (e *Engine) slaveWorker(id int) {
 	for s := range e.dispatchCh {
 		if s.epoch == e.epoch.Load() {
-			s.slave = id
-			s.ex = e.pool.Execute(s.t, e.cfg.MaxTaskLen)
+			s.Slave = id
+			s.Ex = e.r.Pool.Execute(s.T, e.cfg.MaxTaskLen)
 		} else {
-			s.ex = canceledExec
+			s.Ex = canceledExec
 		}
 		e.resultCh <- s
 	}
-}
-
-// taskCode returns the predecoded original program for a new execution over
-// architected code, or nil once the code segment has been written (or when
-// the fast path is disabled).
-func (e *Engine) taskCode() *isa.DecodedProgram {
-	if e.codeClean {
-		return e.origCode
-	}
-	return nil
-}
-
-// noteCodeWrites clears codeClean if the delta binds a memory word inside
-// the predecoded original code segment.
-func (e *Engine) noteCodeWrites(d *state.Delta) {
-	if !e.codeClean || d == nil {
-		return
-	}
-	d.Mem.Range(func(a, _ uint64) bool {
-		if e.origCode.Covers(a) {
-			e.codeClean = false
-			return false
-		}
-		return true
-	})
-}
-
-// emit delivers a lifecycle event to the configured observer, if any.
-func (e *Engine) emit(ev core.LifecycleEvent) {
-	if e.cfg.OnLifecycle != nil {
-		e.cfg.OnLifecycle(ev)
-	}
-}
-
-// tick advances the virtual clock by one event.
-func (e *Engine) tick() float64 {
-	e.vclock++
-	return e.vclock
 }
