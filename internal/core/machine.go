@@ -32,12 +32,6 @@ type Machine struct {
 
 	queue []*pend // program order; tail may be open
 
-	// shareCk allows checkpoints to share (rather than re-snapshot) the
-	// master's diff when it is provably unchanged. Disabled under fault
-	// injection, whose CorruptCheckpoint hook mutates checkpoint diffs in
-	// place and must corrupt exactly one task.
-	shareCk bool
-
 	slaveFree     []float64
 	commitFree    float64
 	lastCommitEnd float64
@@ -68,7 +62,7 @@ type Result struct {
 
 // New builds a machine for the given original program and distillation.
 func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) {
-	m := &Machine{dist: dist, shareCk: cfg.Fault == nil}
+	m := &Machine{dist: dist}
 	r, err := NewRetirer(orig, dist, cfg, machineEngine{m})
 	if err != nil {
 		return nil, err
@@ -138,7 +132,7 @@ func (m *Machine) Run() (*Result, error) {
 		}
 
 		m.queue = append(m.queue, &pend{
-			Flight: m.r.Fork(anchor, m.checkpoint(), len(m.queue)),
+			Flight: m.r.Fork(anchor, m.master.log.Checkpoint(m.master.regs, m.master.memory), len(m.queue)),
 			forkAt: m.master.clock,
 		})
 	}

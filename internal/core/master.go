@@ -4,7 +4,6 @@ import (
 	"mssp/internal/cpu"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
-	"mssp/internal/task"
 )
 
 // master is the fast-path processor: it executes the distilled program over
@@ -18,18 +17,9 @@ type master struct {
 	// memory is the master's speculative image: distilled code overlaid on
 	// the architected memory as of the last reseed.
 	memory *mem.Memory
-	// diff logs every master store since the last reseed; snapshots of it
-	// become checkpoint memory diffs.
-	diff *mem.Overlay
-	// diffAtFork is diff.Len() at the previous fork, for traffic metrics.
-	diffAtFork int
-	// ckDiff is the snapshot handed out by the previous checkpoint, and
-	// ckVersion the diff's content version when it was taken. While the
-	// version is unchanged the snapshot would be bit-identical, so checkpoint
-	// reuses it instead of re-snapshotting (lazy checkpoints; only when
-	// Machine.shareCk).
-	ckDiff    *mem.Overlay
-	ckVersion uint64
+	// log records every master store since the last reseed; snapshots of
+	// its overlay become checkpoint memory diffs.
+	log WriteLog
 
 	// code is this reseed's predecoded-distilled-program runner (a nil-table
 	// runner when the fast path is disabled). Reseed recreates it because it
@@ -63,7 +53,7 @@ func (e masterEnv) ReadMem(addr uint64) uint64 { return e.m.memory.Read(addr) }
 
 func (e masterEnv) WriteMem(addr, v uint64) {
 	e.m.memory.Write(addr, v)
-	e.m.diff.Set(addr, v)
+	e.m.log.Diff.Set(addr, v)
 }
 
 func (e masterEnv) Fetch(addr uint64) uint64 { return e.m.memory.Read(addr) }
@@ -143,39 +133,9 @@ func (m *Machine) reseed() {
 	ms.regs = arch.Regs
 	ms.memory = arch.Mem.Snapshot()
 	ms.memory.CopyWords(m.dist.Prog.Code.Base, m.dist.Prog.Code.Words)
-	ms.diff = mem.NewOverlay()
-	ms.diffAtFork = 0
-	ms.ckDiff = nil
-	ms.ckVersion = 0
+	ms.log = NewWriteLog(m.cfg)
 	ms.pc = dpc
 	ms.code = cpu.NewCode(m.distCode)
 	ms.alive = true
 	ms.pol = m.r.NewLife(&m.r.Metrics)
-}
-
-// checkpoint captures the master's current prediction of machine state.
-//
-// When the master performed no stores since the previous checkpoint (the
-// diff's content version is unchanged) and sharing is allowed, the previous
-// diff snapshot is reused verbatim — it is immutable and slaves read it
-// through per-task OverlayReader cursors, so sharing is safe. Otherwise an
-// O(pages) snapshot is taken as before.
-func (m *Machine) checkpoint() task.Checkpoint {
-	ms := &m.master
-	ck := task.Checkpoint{
-		Regs:         ms.regs,
-		NewDiffWords: ms.diff.Len() - ms.diffAtFork,
-	}
-	if m.shareCk && ms.ckDiff != nil && ms.diff.Version() == ms.ckVersion {
-		ck.MemDiff = ms.ckDiff
-	} else {
-		ck.MemDiff = ms.diff.Snapshot()
-		ms.ckDiff = ck.MemDiff
-		ms.ckVersion = ms.diff.Version()
-	}
-	ms.diffAtFork = ms.diff.Len()
-	if m.cfg.MasterSuppliesAllData {
-		ck.FullMem = ms.memory.Snapshot()
-	}
-	return ck
 }

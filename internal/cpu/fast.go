@@ -32,13 +32,17 @@ import (
 // the moment a store hits the predecoded code segment, after which every
 // fetch goes through memory again (slow path).
 //
-// A Code is cheap (two words) and single-use per execution context; the
+// A Code is cheap (a few words) and single-use per execution context; the
 // underlying isa.DecodedProgram is immutable and shared. A nil table is
 // allowed and means "always slow path", so callers can thread an optional
 // table without branching.
 type Code struct {
 	prog  *isa.DecodedProgram
 	dirty bool
+	// stores is RunToStop's store log: the address of every store the
+	// last call executed, in execution order. Its backing array is reused
+	// call after call.
+	stores []uint64
 }
 
 // NewCode returns a runner over the given predecoded table (nil for a
@@ -112,7 +116,7 @@ func (c *Code) Run(env Env, max uint64) (RunResult, error) {
 // for this runner's whole life.
 func (c *Code) RunState(s *state.State, max uint64) (RunResult, error) {
 	var stop StopResult
-	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, false, &stop)
+	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, nil, &stop)
 	c.dirty = dirty
 	return res, err
 }
@@ -122,7 +126,7 @@ func (c *Code) RunState(s *state.State, max uint64) (RunResult, error) {
 // table). This is the devirtualized drop-in for Run(StateEnv{S: s}, max).
 func RunState(s *state.State, max uint64) (RunResult, error) {
 	var stop StopResult
-	res, _, err := runConcrete(s, nil, false, max, false, &stop)
+	res, _, err := runConcrete(s, nil, false, max, nil, &stop)
 	return res, err
 }
 
@@ -149,10 +153,6 @@ type StopResult struct {
 	Steps  uint64   // instructions executed this call (stop event included)
 	Kind   StopKind //
 	Anchor uint64   // FORK immediate, valid when Kind == StopFork
-	// Stores is the number of store instructions executed this call. Master
-	// engines use it to skip checkpoint materialization over store-free
-	// stretches of distilled code (see docs/MEMORY.md).
-	Stores uint64
 	// Fused is the number of instructions retired through fused
 	// (superinstruction) dispatches this call; Fused/Steps is the dynamic
 	// fusion ratio msspbench tracks as dispatch/fused_ratio.
@@ -167,13 +167,25 @@ type StopResult struct {
 // goroutine runs the distilled program here at full fast-path speed and
 // layers fork/translation policy on top, instead of stepping through the
 // Env interface. The dirty flag persists like RunState's.
+//
+// Every call also logs the address of each store it executes, in order;
+// Stores returns the log. A master engine folds it into its write overlay,
+// so building a checkpoint costs the stores since the last fork, not a scan
+// of the memory image (docs/MEMORY.md). The log holds one word per store
+// of the call, so max bounds its size.
 func (c *Code) RunToStop(s *state.State, max uint64) (StopResult, error) {
 	var stop StopResult
-	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, true, &stop)
+	c.stores = c.stores[:0]
+	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, &c.stores, &stop)
 	c.dirty = dirty
 	stop.Steps = res.Steps
 	return stop, err
 }
+
+// Stores returns the addresses of the stores the last RunToStop call
+// executed, in execution order, one entry per store (repeats included). The
+// slice is overwritten by the next call.
+func (c *Code) Stores() []uint64 { return c.stores }
 
 // DivSigned exposes the MIR signed-division semantics (divide by zero yields
 // all ones; INT64_MIN / -1 wraps) for execution loops outside this package,
@@ -323,9 +335,11 @@ func wrr(s *state.State, r uint8, v uint64) {
 // runConcrete is the devirtualized interpreter loop shared by RunState,
 // Code.RunState and Code.RunToStop. When code is non-nil and not dirty,
 // instructions come from the predecode table; otherwise each fetch reads
-// memory and decodes. It returns the (possibly updated) dirty flag. With
-// stops set, fork and jalr instructions end the run after executing (the
-// RunToStop contract); the StopResult's Steps field is filled by the caller.
+// memory and decodes. It returns the (possibly updated) dirty flag. With a
+// non-nil log, fork and jalr instructions end the run after executing (the
+// RunToStop contract) and every store appends its address to *log; the
+// StopResult's Steps field is filled by the caller. RunState passes nil, so
+// the baseline loop pays one untaken branch per store for the log.
 //
 // The stop report is filled through an out-pointer rather than returned:
 // returning it by value pushed the function's return state past the
@@ -335,7 +349,7 @@ func wrr(s *state.State, r uint8, v uint64) {
 //
 // Per-instruction semantics mirror stepExec exactly; the equivalence suite
 // and the chaos corpus differential hold the two definitions together.
-func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint64, stops bool, stop *StopResult) (RunResult, bool, error) {
+func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint64, log *[]uint64, stop *StopResult) (RunResult, bool, error) {
 	var res RunResult
 	m := s.Mem
 	pc := s.PC
@@ -359,13 +373,13 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 		ilen, flen = 0, 0
 	}
 
-	// Stores and fused-retire counts accumulate in locals (registers) and
-	// flush to the out-parameter at every exit: a through-the-pointer
+	// The fused-retire count accumulates in a local (a register) and
+	// flushes to the out-parameter at every exit: a through-the-pointer
 	// increment per dispatch would cost a load+store in the hottest path.
 	// The step budget runs as a countdown for the same reason — one live
 	// register serves both the loop condition and the fused budget check;
 	// exits reconstruct res.Steps as max-left.
-	var stores, fusedN uint64
+	var fusedN uint64
 	left := max
 
 	var in isa.Inst
@@ -412,7 +426,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 								wrr(s, f.RdB, v)
 								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
 								m.Write(addr, rdr(s, f.C.Rs2))
-								stores++
+								if log != nil {
+									*log = append(*log, addr)
+								}
 								if addr-base < ilen {
 									ilen, flen, dirty = 0, 0, true
 								}
@@ -432,7 +448,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 								wrr(s, f.RdB, v)
 								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
 								m.Write(addr, rdr(s, f.C.Rs2))
-								stores++
+								if log != nil {
+									*log = append(*log, addr)
+								}
 								done += 3
 								if addr-base < ilen {
 									ilen, flen, dirty = 0, 0, true
@@ -573,7 +591,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						wrr(s, f.RdA, v)
 						addr := rdr(s, f.B.Rs1) + uint64(f.B.Imm)
 						m.Write(addr, rdr(s, f.B.Rs2))
-						stores++
+						if log != nil {
+							*log = append(*log, addr)
+						}
 						if addr-base < ilen {
 							ilen, flen, dirty = 0, 0, true
 						}
@@ -587,7 +607,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						wrr(s, f.RdB, v)
 						addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
 						m.Write(addr, rdr(s, f.C.Rs2))
-						stores++
+						if log != nil {
+							*log = append(*log, addr)
+						}
 						if addr-base < ilen {
 							ilen, flen, dirty = 0, 0, true
 						}
@@ -602,7 +624,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 				s.PC = pc
 				stop.Kind = StopFault
 				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+				stop.Fused += fusedN
 				return res, dirty, &Fault{PC: pc, Word: words[i]}
 			}
 			in = insts[i]
@@ -613,7 +635,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 				s.PC = pc
 				stop.Kind = StopFault
 				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+				stop.Fused += fusedN
 				return res, dirty, &Fault{PC: pc, Word: w}
 			}
 		}
@@ -623,12 +645,12 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 		case isa.OpNop:
 
 		case isa.OpFork:
-			if stops {
+			if log != nil {
 				s.PC = next
 				left--
 				stop.Kind, stop.Anchor = StopFork, uint64(in.Imm)
 				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+				stop.Fused += fusedN
 				return res, dirty, nil
 			}
 
@@ -691,7 +713,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 		case isa.OpSt:
 			addr := rdr(s, in.Rs1) + uint64(in.Imm)
 			m.Write(addr, rdr(s, in.Rs2))
-			stores++
+			if log != nil {
+				*log = append(*log, addr)
+			}
 			if addr-base < ilen {
 				// Self-modifying store: the table is stale from here on.
 				ilen, flen, dirty = 0, 0, true
@@ -729,12 +753,12 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 			target := rdr(s, in.Rs1) + uint64(in.Imm)
 			wrr(s, in.Rd, pc+1)
 			next = target
-			if stops {
+			if log != nil {
 				s.PC = next
 				left--
 				stop.Kind = StopJalr
 				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+				stop.Fused += fusedN
 				return res, dirty, nil
 			}
 
@@ -744,7 +768,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 			res.Halted = true
 			stop.Kind = StopHalt
 			res.Steps = max - left
-			stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+			stop.Fused += fusedN
 			return res, dirty, nil
 		}
 
@@ -754,6 +778,6 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 	s.PC = pc
 	stop.Kind = StopSteps
 	res.Steps = max - left
-	stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+	stop.Fused += fusedN
 	return res, dirty, nil
 }

@@ -44,6 +44,11 @@ type Overlay struct {
 	getPg *opage
 	setPN uint64
 	setPg *opage
+
+	// free holds wiped pages Reset took out of the map; Set and SetIfAbsent
+	// draw from it before allocating. Only exclusively owned pages enter it,
+	// so no snapshot can reference one.
+	free []*opage
 }
 
 // NewOverlay returns an empty overlay.
@@ -80,12 +85,10 @@ func (o *Overlay) Set(addr uint64, v uint64) {
 		p, ok = o.pages[pn]
 		switch {
 		case !ok:
-			p = &opage{gen: o.gen}
+			p = o.newPage()
 			o.pages[pn] = p
 		case p.gen != o.gen:
-			cp := *p
-			cp.gen = o.gen
-			p = &cp
+			p = o.copyPage(p)
 			o.pages[pn] = p
 		}
 		o.setPg, o.setPN = p, pn
@@ -115,16 +118,14 @@ func (o *Overlay) SetIfAbsent(addr, v uint64) bool {
 		p, ok = o.pages[pn]
 		switch {
 		case !ok:
-			p = &opage{gen: o.gen}
+			p = o.newPage()
 			o.pages[pn] = p
 		case p.gen != o.gen:
 			idx := addr & pageMask
 			if p.present[idx/64]&(1<<(idx%64)) != 0 {
 				return false // present in a shared page: no write, no CoW
 			}
-			cp := *p
-			cp.gen = o.gen
-			p = &cp
+			p = o.copyPage(p)
 			o.pages[pn] = p
 		}
 		o.setPg, o.setPN = p, pn
@@ -142,6 +143,27 @@ func (o *Overlay) SetIfAbsent(addr, v uint64) bool {
 	o.count++
 	o.version++
 	return true
+}
+
+// newPage returns an empty page owned by o, recycled from the free list
+// when it has one. Recycled pages keep stale data words; their present
+// bits are clear, so nothing reads them.
+func (o *Overlay) newPage() *opage {
+	if n := len(o.free); n > 0 {
+		p := o.free[n-1]
+		o.free = o.free[:n-1]
+		p.gen = o.gen
+		return p
+	}
+	return &opage{gen: o.gen}
+}
+
+// copyPage returns an owned copy of the shared page p.
+func (o *Overlay) copyPage(p *opage) *opage {
+	cp := o.newPage()
+	*cp = *p
+	cp.gen = o.gen
+	return cp
 }
 
 // Len returns the number of present words.
@@ -203,20 +225,25 @@ func (o *Overlay) Clear() {
 }
 
 // Reset removes all entries like Clear but reuses the overlay's allocations:
-// the page map keeps its buckets, and pages the overlay exclusively owns
-// (generation tag equal to the overlay's own — provably unaliased, because
-// every Snapshot retags both sides) are kept and wiped in place. Shared
+// the page map is emptied but keeps its buckets, and pages the overlay
+// exclusively owns (generation tag equal to the overlay's own — provably
+// unaliased, because every Snapshot retags both sides) are wiped and moved
+// to the free list, where the next Set or SetIfAbsent picks them up. Shared
 // pages may be referenced by snapshots and are dropped instead. This
 // generation check is what makes pooled reuse safe: a Reset can never
 // scribble on a page some outstanding snapshot still reads.
+//
+// Emptying the map is what keeps a pooled overlay's cost proportional to
+// its current contents: Range and the next Reset visit only the pages
+// written since this Reset, not every page an earlier life touched.
 func (o *Overlay) Reset() {
-	for pn, p := range o.pages {
-		if p.gen != o.gen {
-			delete(o.pages, pn)
-			continue
+	for _, p := range o.pages {
+		if p.gen == o.gen {
+			p.present = [PageWords / 64]uint64{}
+			o.free = append(o.free, p)
 		}
-		p.present = [PageWords / 64]uint64{}
 	}
+	clear(o.pages)
 	o.count = 0
 	o.version++
 	o.getPg = nil

@@ -57,6 +57,84 @@ func TestOverlayResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Reset must recycle pages rather than keep them mapped: after lives over
+// disjoint page sets, Range visits only the current life's words and the
+// page map holds only the current life's pages, while the lives share one
+// set of recycled pages.
+func TestOverlayRecycleDisjointLives(t *testing.T) {
+	o := NewOverlay()
+	const pagesPerLife = 4
+	for life := uint64(0); life < 50; life++ {
+		base := life * pagesPerLife * PageWords
+		for pg := uint64(0); pg < pagesPerLife; pg++ {
+			o.Set(base+pg*PageWords+life, life)
+			o.SetIfAbsent(base+pg*PageWords+life+1, life)
+		}
+		if len(o.pages) != pagesPerLife {
+			t.Fatalf("life %d: page map holds %d pages, want %d", life, len(o.pages), pagesPerLife)
+		}
+		seen := 0
+		o.Range(func(a, v uint64) bool {
+			if a < base || a >= base+pagesPerLife*PageWords || v != life {
+				t.Fatalf("life %d: Range visited %d=%d from another life", life, a, v)
+			}
+			seen++
+			return true
+		})
+		if seen != 2*pagesPerLife || o.Len() != seen {
+			t.Fatalf("life %d: Range visited %d words, Len %d, want %d", life, seen, o.Len(), 2*pagesPerLife)
+		}
+		o.Reset()
+		if len(o.free) != pagesPerLife {
+			t.Fatalf("life %d: free list holds %d pages after Reset, want %d", life, len(o.free), pagesPerLife)
+		}
+	}
+}
+
+// A page shared with an outstanding snapshot must never enter the free
+// list: reuse cycles that write the same addresses would otherwise scribble
+// on the snapshot.
+func TestOverlayRecycleKeepsSnapshotPages(t *testing.T) {
+	o := NewOverlay()
+	for a := uint64(0); a < 3*PageWords; a += 5 {
+		o.Set(a, a+1)
+	}
+	snap := o.Snapshot()
+	want := overlayContents(snap)
+	shared := make(map[*opage]bool)
+	for _, p := range snap.pages {
+		shared[p] = true
+	}
+	for cycle := uint64(0); cycle < 1000; cycle++ {
+		o.Reset()
+		for _, p := range o.free {
+			if shared[p] {
+				t.Fatalf("cycle %d: a snapshot page entered the free list", cycle)
+			}
+		}
+		for a := uint64(0); a < 3*PageWords; a += 7 {
+			o.Set(a, cycle)
+		}
+	}
+	if got := overlayContents(snap); len(got) != len(want) {
+		t.Fatalf("snapshot holds %d words after reuse cycles, want %d", len(got), len(want))
+	}
+	for a, v := range want {
+		if got, ok := snap.Get(a); !ok || got != v {
+			t.Fatalf("snapshot[%d] = %d,%v after reuse cycles, want %d", a, got, ok, v)
+		}
+	}
+}
+
+func overlayContents(o *Overlay) map[uint64]uint64 {
+	words := make(map[uint64]uint64)
+	o.Range(func(a, v uint64) bool {
+		words[a] = v
+		return true
+	})
+	return words
+}
+
 func TestOverlaySetIfAbsent(t *testing.T) {
 	o := NewOverlay()
 	if !o.SetIfAbsent(10, 1) {

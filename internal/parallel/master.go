@@ -3,7 +3,6 @@ package parallel
 import (
 	"mssp/internal/core"
 	"mssp/internal/cpu"
-	"mssp/internal/mem"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -30,11 +29,12 @@ type masterLife struct {
 	st   *state.State
 	code *cpu.Code
 
-	// pol is the life's fork policy and tally its counts (master
-	// instructions, skipped forks, how the life ended). Both are written
-	// only by the master goroutine; the coordinator reads tally after
-	// exited closes.
+	// pol is the life's fork policy, log its write overlay and checkpoint
+	// rule, and tally its counts (master instructions, skipped forks, how
+	// the life ended). All are written only by the master goroutine; the
+	// coordinator reads tally after exited closes.
 	pol   core.ForkPolicy
+	log   core.WriteLog
 	tally core.Metrics
 }
 
@@ -52,28 +52,16 @@ type forkMsg struct {
 const masterChunk = 4096
 
 // runMaster is the master goroutine body. It applies the shared fork policy
-// on top of the devirtualized cpu.RunToStop loop, and computes checkpoint
-// diffs by page-diffing against the previous fork's snapshot instead of
-// teeing every store through an overlay — the hot loop is the same one the
-// SEQ baseline runs.
+// on top of the devirtualized cpu.RunToStop loop — the hot loop is the same
+// one the SEQ baseline runs — and keeps the write overlay from the runner's
+// store log: after each call, the logged addresses are folded into the
+// life's WriteLog with the values they now hold, which is exactly the
+// overlay the deterministic master builds by teeing every store. A
+// checkpoint then costs the stores since the last fork plus one overlay
+// snapshot, however large the master's memory image grows.
 func (e *Engine) runMaster(l *masterLife) {
 	defer close(l.exited)
-	st, pol := l.st, &l.pol
-
-	// diffBase is the master's memory as of the previous fork (initially the
-	// reseed image); cum accumulates all predicted writes since reseed.
-	diffBase := st.Mem.Snapshot()
-	cum := mem.NewOverlay()
-
-	// storesSince counts store instructions since the last materialized
-	// checkpoint; prevCk is that checkpoint's diff snapshot. When a fork
-	// arrives with storesSince == 0 the memory image is untouched, so the
-	// previous snapshot (or the engine's shared empty diff) is bit-identical
-	// to what diffing would produce — the checkpoint is register-only and
-	// the O(pages) diff + snapshots are skipped entirely (lazy checkpoints,
-	// docs/MEMORY.md). Fault injection disables the sharing (Engine.shareCk).
-	var storesSince uint64
-	var prevCk *mem.Overlay
+	st, pol, log := l.st, &l.pol, &l.log
 
 	for {
 		select {
@@ -84,7 +72,9 @@ func (e *Engine) runMaster(l *masterLife) {
 
 		res, err := l.code.RunToStop(st, pol.Budget(masterChunk))
 		pol.Ran(res.Steps)
-		storesSince += res.Stores
+		for _, a := range l.code.Stores() {
+			log.Diff.Set(a, st.Mem.Read(a))
+		}
 		if err != nil {
 			l.tally.MasterLost++
 			return
@@ -100,24 +90,7 @@ func (e *Engine) runMaster(l *masterLife) {
 			if !take {
 				break
 			}
-			var ck task.Checkpoint
-			if e.shareCk && storesSince == 0 {
-				d := prevCk
-				if d == nil {
-					d = e.emptyDiff
-				}
-				ck = task.Checkpoint{Regs: st.Regs, MemDiff: d}
-				if e.cfg.MasterSuppliesAllData {
-					ck.FullMem = st.Mem.Snapshot()
-				}
-			} else {
-				ck = e.masterCheckpoint(st, diffBase, cum)
-				diffBase = st.Mem.Snapshot()
-				if e.shareCk {
-					prevCk = ck.MemDiff
-				}
-				storesSince = 0
-			}
+			ck := log.Checkpoint(st.Regs, st.Mem)
 			select {
 			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
 			case <-l.stop:
@@ -138,31 +111,4 @@ func (e *Engine) runMaster(l *masterLife) {
 			return
 		}
 	}
-}
-
-// masterCheckpoint captures the master's current prediction. New writes
-// since the previous fork are folded into the cumulative overlay by diffing
-// memory images (page-granular, proportional to pages actually written), and
-// the checkpoint carries a snapshot of the cumulative overlay — the same
-// reads-fall-through-to-architected-snapshot contract as the deterministic
-// machine's write log, modulo stores that rewrote a value in place (which
-// the diff cannot see; they only make the prediction marginally sparser,
-// and verification is indifferent to prediction quality).
-func (e *Engine) masterCheckpoint(st *state.State, diffBase *mem.Memory, cum *mem.Overlay) task.Checkpoint {
-	newWords := 0
-	st.Mem.Diff(diffBase, func(a uint64, v, _ uint64) {
-		if _, ok := cum.Get(a); !ok {
-			newWords++
-		}
-		cum.Set(a, v)
-	})
-	ck := task.Checkpoint{
-		Regs:         st.Regs,
-		MemDiff:      cum.Snapshot(),
-		NewDiffWords: newWords,
-	}
-	if e.cfg.MasterSuppliesAllData {
-		ck.FullMem = st.Mem.Snapshot()
-	}
-	return ck
 }

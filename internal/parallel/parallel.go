@@ -66,7 +66,6 @@ import (
 	"mssp/internal/distill"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
-	"mssp/internal/mem"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -113,16 +112,6 @@ type Engine struct {
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
 
-	// shareCk allows checkpoints to reuse the previous diff snapshot (or the
-	// shared empty diff) over store-free master stretches. Disabled under
-	// fault injection, whose CorruptCheckpoint hook mutates checkpoint diffs
-	// in place and must corrupt exactly one task.
-	shareCk bool
-	// emptyDiff is the immutable empty overlay handed to checkpoints taken
-	// before the master's first store; slaves read it through per-task
-	// OverlayReader cursors, so cross-task sharing is race-free.
-	emptyDiff *mem.Overlay
-
 	ring *ring
 	life *masterLife // nil while the master is dead
 
@@ -140,7 +129,7 @@ type Engine struct {
 }
 
 func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engine, error) {
-	e := &Engine{dist: dist, shareCk: cfg.Fault == nil, emptyDiff: mem.NewOverlay()}
+	e := &Engine{dist: dist}
 	r, err := core.NewRetirer(orig, dist, cfg, e)
 	if err != nil {
 		return nil, err
@@ -395,6 +384,7 @@ func (e *Engine) Reseed() {
 	// The policy's frozen plan is immutable, so sharing it with the life's
 	// goroutine is race-free; the spawn handoff orders the writes.
 	l.pol = e.r.NewLife(&l.tally)
+	l.log = core.NewWriteLog(e.cfg)
 	e.life = l
 	// The life's goroutine is tracked by its exited channel, not the worker
 	// WaitGroup: stopMaster/collectExit always waits for it.

@@ -142,22 +142,22 @@ func (s *State) FirstInconsistency(d *Delta) *Inconsistency {
 	if d.HasPC && s.PC != d.PC {
 		return &Inconsistency{Cell: "pc", Delta: d.PC, Got: s.PC}
 	}
-	var bad *Inconsistency
+	// Range order is unspecified: track the lowest mismatching address as
+	// integers and describe it once at the end.
+	var (
+		found           bool
+		addr, want, got uint64
+	)
 	d.Mem.Range(func(a, v uint64) bool {
-		if got := s.Mem.Read(a); got != v {
-			if bad == nil || a < badAddr(bad) {
-				bad = &Inconsistency{Cell: fmt.Sprintf("m%d", a), Delta: v, Got: got}
-			}
+		if g := s.Mem.Read(a); g != v && (!found || a < addr) {
+			found, addr, want, got = true, a, v, g
 		}
 		return true
 	})
-	return bad
-}
-
-func badAddr(i *Inconsistency) uint64 {
-	var a uint64
-	fmt.Sscanf(i.Cell, "m%d", &a)
-	return a
+	if !found {
+		return nil
+	}
+	return &Inconsistency{Cell: fmt.Sprintf("m%d", addr), Delta: want, Got: got}
 }
 
 // Digest returns a short, order-independent fingerprint of the state,

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mssp/internal/isa"
+	"mssp/internal/mem"
 )
 
 func TestStateRegZero(t *testing.T) {
@@ -91,6 +92,48 @@ func TestApplyAndConsistent(t *testing.T) {
 	s.Apply(d)
 	if !s.Equal(before) {
 		t.Error("idempotency violated: applying a consistent delta changed state")
+	}
+}
+
+// TestFirstInconsistencyLowestAddress binds memory in descending address
+// order, across and within pages, with consistent cells interleaved: the
+// report must always name the lowest mismatching address with its values,
+// however the overlay's pages are iterated.
+func TestFirstInconsistencyLowestAddress(t *testing.T) {
+	const pg = mem.PageWords
+	type cell struct{ addr, delta, state uint64 }
+	cases := []struct {
+		name  string
+		cells []cell // bound in this (descending) order
+		want  string // "" when consistent
+		delta uint64
+		got   uint64
+	}{
+		{"one-page", []cell{{30, 3, 0}, {20, 2, 9}, {10, 1, 1}}, "m20", 2, 9},
+		{"across-pages", []cell{{5*pg + 1, 5, 6}, {3 * pg, 3, 4}, {pg + 7, 1, 2}, {12, 7, 7}}, "m1031", 1, 2},
+		{"lowest-is-first-page", []cell{{9 * pg, 1, 0}, {4*pg + 2, 1, 0}, {0, 8, 0}}, "m0", 8, 0},
+		{"zero-value-mismatch", []cell{{2 * pg, 0, 5}, {pg, 4, 4}}, "m2048", 0, 5},
+		{"consistent", []cell{{3 * pg, 1, 1}, {2, 2, 2}}, "", 0, 0},
+	}
+	for _, tc := range cases {
+		for rep := 0; rep < 20; rep++ {
+			s := New()
+			d := NewDelta()
+			for _, c := range tc.cells {
+				s.Mem.Write(c.addr, c.state)
+				d.SetMem(c.addr, c.delta)
+			}
+			inc := s.FirstInconsistency(d)
+			if tc.want == "" {
+				if inc != nil {
+					t.Fatalf("%s: FirstInconsistency = %v, want nil", tc.name, inc)
+				}
+				continue
+			}
+			if inc == nil || inc.Cell != tc.want || inc.Delta != tc.delta || inc.Got != tc.got {
+				t.Fatalf("%s: FirstInconsistency = %+v, want {%s %d %d}", tc.name, inc, tc.want, tc.delta, tc.got)
+			}
+		}
 	}
 }
 
