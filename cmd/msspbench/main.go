@@ -330,11 +330,23 @@ func benchWriteHit() float64 {
 	return nsPerOp(r)
 }
 
-func benchSnapshotChurn() float64 {
+// benchImageWords is the span of the mem/snapshot_churn and
+// mem/equal_shared image. It is set in words, not pages, so the recorded
+// history measures the same image whatever the page size.
+const benchImageWords = 16 << 10
+
+// benchImage returns a memory with every page of a benchImageWords span
+// materialized.
+func benchImage() *mem.Memory {
 	m := mem.New()
-	for pn := uint64(0); pn < 16; pn++ {
-		m.Write(pn*mem.PageWords, pn+1)
+	for a := uint64(0); a < benchImageWords; a += mem.PageWords {
+		m.Write(a, a+1)
 	}
+	return m
+}
+
+func benchSnapshotChurn() float64 {
+	m := benchImage()
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			snap := m.Snapshot()
@@ -345,10 +357,7 @@ func benchSnapshotChurn() float64 {
 }
 
 func benchEqualShared() float64 {
-	m := mem.New()
-	for pn := uint64(0); pn < 16; pn++ {
-		m.Write(pn*mem.PageWords, pn+1)
-	}
+	m := benchImage()
 	snap := m.Snapshot()
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -6,7 +6,7 @@ import "testing"
 // snapshot churn (the per-spawn cost in the machine), and whole-image
 // comparison. cmd/msspbench reruns these to produce BENCH_core.json.
 
-// BenchmarkReadHit measures a read that hits the one-entry page cache — the
+// BenchmarkReadHit measures a read that hits the one-entry leaf cache — the
 // dominant case in sequential MIR execution.
 func BenchmarkReadHit(b *testing.B) {
 	m := New()
@@ -15,13 +15,13 @@ func BenchmarkReadHit(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += m.Read(4096 + uint64(i&pageMask))
+		sink += m.Read(4096 + uint64(i&leafMask))
 	}
 	_ = sink
 }
 
-// BenchmarkReadSpread strides across 64 pages, defeating the cache, to keep
-// the map-lookup slow path measured.
+// BenchmarkReadSpread strides across 64 pages, defeating the leaf cache, to
+// keep the table-walk slow path measured.
 func BenchmarkReadSpread(b *testing.B) {
 	m := New()
 	for pn := uint64(0); pn < 64; pn++ {
@@ -36,25 +36,37 @@ func BenchmarkReadSpread(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkWriteHit measures a write into the exclusively-owned cached page.
+// BenchmarkWriteHit measures a write into the exclusively owned cached leaf.
 func BenchmarkWriteHit(b *testing.B) {
 	m := New()
 	m.Write(4096, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Write(4096+uint64(i&pageMask), uint64(i))
+		m.Write(4096+uint64(i&leafMask), uint64(i))
 	}
 }
 
-// BenchmarkSnapshotChurn measures the machine's per-spawn pattern: snapshot
-// the image, then write it (forcing one page copy-on-write). This is the
-// cost the task-spawn path pays per architected snapshot.
-func BenchmarkSnapshotChurn(b *testing.B) {
+// benchImageWords is the span of the snapshot and compare benchmarks'
+// image. It is set in words, not pages, so the measured image stays the
+// same whatever the page size.
+const benchImageWords = 16 << 10
+
+// benchImage returns a memory with every page of a benchImageWords span
+// materialized.
+func benchImage() *Memory {
 	m := New()
-	for pn := uint64(0); pn < 16; pn++ {
-		m.Write(pn*PageWords, pn+1)
+	for a := uint64(0); a < benchImageWords; a += PageWords {
+		m.Write(a, a+1)
 	}
+	return m
+}
+
+// BenchmarkSnapshotChurn measures the machine's per-spawn pattern: snapshot
+// the image, then write it (forcing one copy-on-write of a page and its
+// path). This is the cost the task-spawn path pays per architected snapshot.
+func BenchmarkSnapshotChurn(b *testing.B) {
+	m := benchImage()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,10 +78,7 @@ func BenchmarkSnapshotChurn(b *testing.B) {
 // BenchmarkEqualShared compares a snapshot against its parent — the
 // pointer-equality fast path the verifiers lean on.
 func BenchmarkEqualShared(b *testing.B) {
-	m := New()
-	for pn := uint64(0); pn < 16; pn++ {
-		m.Write(pn*PageWords, pn+1)
-	}
+	m := benchImage()
 	snap := m.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,7 +96,7 @@ func BenchmarkOverlaySetGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := uint64(i & pageMask)
+		a := uint64(i & leafMask)
 		o.Set(a, uint64(i))
 		if _, ok := o.Get(a); !ok {
 			b.Fatal("missing just-written cell")

@@ -243,26 +243,6 @@ func TestOverlayRange(t *testing.T) {
 	}
 }
 
-func TestOverlayClear(t *testing.T) {
-	o := NewOverlay()
-	o.Set(1, 1)
-	s := o.Snapshot()
-	o.Clear()
-	if o.Len() != 0 {
-		t.Error("Clear did not empty overlay")
-	}
-	if _, ok := o.Get(1); ok {
-		t.Error("Clear left entries behind")
-	}
-	if v, ok := s.Get(1); !ok || v != 1 {
-		t.Error("Clear damaged outstanding snapshot")
-	}
-	o.Set(2, 2)
-	if v, ok := o.Get(2); !ok || v != 2 {
-		t.Error("overlay unusable after Clear")
-	}
-}
-
 func TestOverlayVsModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -10,7 +10,7 @@ func TestOverlayReset(t *testing.T) {
 	o.Set(1, 1)
 	o.Set(2000, 2)
 	s := o.Snapshot()
-	o.Set(3, 3) // CoW-copies page 0: owned again after the snapshot
+	o.Set(3, 3) // CoW-copies leaf 0: owned again after the snapshot
 
 	o.Reset()
 	if o.Len() != 0 {
@@ -59,8 +59,8 @@ func TestOverlayResetSteadyStateAllocs(t *testing.T) {
 
 // Reset must recycle pages rather than keep them mapped: after lives over
 // disjoint page sets, Range visits only the current life's words and the
-// page map holds only the current life's pages, while the lives share one
-// set of recycled pages.
+// page table holds only the current life's pages, while the lives share
+// one set of recycled pages.
 func TestOverlayRecycleDisjointLives(t *testing.T) {
 	o := NewOverlay()
 	const pagesPerLife = 4
@@ -70,8 +70,8 @@ func TestOverlayRecycleDisjointLives(t *testing.T) {
 			o.Set(base+pg*PageWords+life, life)
 			o.SetIfAbsent(base+pg*PageWords+life+1, life)
 		}
-		if len(o.pages) != pagesPerLife {
-			t.Fatalf("life %d: page map holds %d pages, want %d", life, len(o.pages), pagesPerLife)
+		if n := len(o.mappedLeaves()); n != pagesPerLife {
+			t.Fatalf("life %d: page table holds %d pages, want %d", life, n, pagesPerLife)
 		}
 		seen := 0
 		o.Range(func(a, v uint64) bool {
@@ -85,8 +85,8 @@ func TestOverlayRecycleDisjointLives(t *testing.T) {
 			t.Fatalf("life %d: Range visited %d words, Len %d, want %d", life, seen, o.Len(), 2*pagesPerLife)
 		}
 		o.Reset()
-		if len(o.free) != pagesPerLife {
-			t.Fatalf("life %d: free list holds %d pages after Reset, want %d", life, len(o.free), pagesPerLife)
+		if n := len(o.freeLeaves); n != pagesPerLife {
+			t.Fatalf("life %d: free list holds %d pages after Reset, want %d", life, n, pagesPerLife)
 		}
 	}
 }
@@ -101,15 +101,12 @@ func TestOverlayRecycleKeepsSnapshotPages(t *testing.T) {
 	}
 	snap := o.Snapshot()
 	want := overlayContents(snap)
-	shared := make(map[*opage]bool)
-	for _, p := range snap.pages {
-		shared[p] = true
-	}
+	shared := snap.nodes()
 	for cycle := uint64(0); cycle < 1000; cycle++ {
 		o.Reset()
-		for _, p := range o.free {
-			if shared[p] {
-				t.Fatalf("cycle %d: a snapshot page entered the free list", cycle)
+		for _, n := range o.freeNodes() {
+			if shared[n] {
+				t.Fatalf("cycle %d: a snapshot node entered a free list", cycle)
 			}
 		}
 		for a := uint64(0); a < 3*PageWords; a += 7 {
@@ -152,12 +149,12 @@ func TestOverlaySetIfAbsent(t *testing.T) {
 
 	// Present word on a shared page: must refuse without copying the page.
 	s := o.Snapshot()
-	pages := len(o.pages)
-	before := o.pages[10>>pageShift]
+	pages := len(o.mappedLeaves())
+	before := o.nodes()
 	if o.SetIfAbsent(10, 3) {
 		t.Error("SetIfAbsent stored over a present word on a shared page")
 	}
-	if o.pages[10>>pageShift] != before || len(o.pages) != pages {
+	if !sameNodes(o.nodes(), before) || len(o.mappedLeaves()) != pages {
 		t.Error("SetIfAbsent copy-on-wrote a page it never needed to write")
 	}
 
@@ -196,11 +193,6 @@ func TestOverlayVersion(t *testing.T) {
 	o.Reset()
 	if o.Version() == v2 {
 		t.Error("Reset did not advance version")
-	}
-	v3 := o.Version()
-	o.Clear()
-	if o.Version() == v3 {
-		t.Error("Clear did not advance version")
 	}
 }
 

@@ -82,8 +82,8 @@ func (d *Delta) Clone() *Delta {
 
 // Reset empties the delta in place, reusing its allocations: the register
 // file keeps its array (the presence mask hides stale values) and the
-// memory overlay keeps its owned pages (mem.Overlay.Reset's generation
-// check protects outstanding snapshots). This is what lets the task pool
+// memory overlay recycles its owned page-table nodes (mem.Overlay.Reset's
+// generation check protects outstanding snapshots). This is what lets the task pool
 // run delta capture allocation-free across task lives (docs/MEMORY.md).
 func (d *Delta) Reset() {
 	d.regPresent = 0
@@ -110,6 +110,8 @@ func (d *Delta) Superimpose(e *Delta) *Delta {
 
 // ConsistentWith reports whether every cell d binds is bound to the same
 // value in e (d ⊑ e over deltas; cells absent from e make the check fail).
+// It reads e through a local mem.OverlayReader, so e is left untouched and
+// a frozen delta may be compared from several goroutines at once.
 func (d *Delta) ConsistentWith(e *Delta) bool {
 	for m := d.regPresent; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros32(m)
@@ -121,9 +123,11 @@ func (d *Delta) ConsistentWith(e *Delta) bool {
 	if d.HasPC && (!e.HasPC || d.PC != e.PC) {
 		return false
 	}
+	var er mem.OverlayReader
+	er.Init(e.Mem)
 	ok := true
 	d.Mem.Range(func(a, v uint64) bool {
-		ev, present := e.Mem.Get(a)
+		ev, present := er.Get(a)
 		if !present || ev != v {
 			ok = false
 			return false

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,9 +111,9 @@ func TestFirstInconsistencyLowestAddress(t *testing.T) {
 		got   uint64
 	}{
 		{"one-page", []cell{{30, 3, 0}, {20, 2, 9}, {10, 1, 1}}, "m20", 2, 9},
-		{"across-pages", []cell{{5*pg + 1, 5, 6}, {3 * pg, 3, 4}, {pg + 7, 1, 2}, {12, 7, 7}}, "m1031", 1, 2},
+		{"across-pages", []cell{{5*pg + 1, 5, 6}, {3 * pg, 3, 4}, {pg + 7, 1, 2}, {12, 7, 7}}, fmt.Sprintf("m%d", pg+7), 1, 2},
 		{"lowest-is-first-page", []cell{{9 * pg, 1, 0}, {4*pg + 2, 1, 0}, {0, 8, 0}}, "m0", 8, 0},
-		{"zero-value-mismatch", []cell{{2 * pg, 0, 5}, {pg, 4, 4}}, "m2048", 0, 5},
+		{"zero-value-mismatch", []cell{{2 * pg, 0, 5}, {pg, 4, 4}}, fmt.Sprintf("m%d", 2*pg), 0, 5},
 		{"consistent", []cell{{3 * pg, 1, 1}, {2, 2, 2}}, "", 0, 0},
 	}
 	for _, tc := range cases {

@@ -53,8 +53,9 @@ func newScratch() *scratch {
 }
 
 // reset re-arms the scratch for task t, emptying the recycled deltas and
-// write buffer in place (their owned pages survive; pages shared with
-// outstanding snapshots are dropped by the generation check).
+// write buffer in place (their owned page-table nodes go to free lists;
+// nodes shared with outstanding snapshots are dropped by the generation
+// check).
 func (sc *scratch) reset(t *Task) {
 	sc.liveIn.Reset()
 	sc.liveOut.Reset()
@@ -76,7 +77,7 @@ func (sc *scratch) reset(t *Task) {
 // which must be called exactly once when the engine is done with the result
 // (after commit, squash, or drop). In steady state Execute allocates only
 // what the task's own footprint forces (zero for tasks whose footprint fits
-// the recycled pages — the common case).
+// the recycled page-table nodes — the common case).
 func (p *Pool) Execute(t *Task, cap uint64) *Exec {
 	p.mu.Lock()
 	var sc *scratch
@@ -111,7 +112,7 @@ func (p *Pool) Release(ex *Exec) {
 }
 
 // CloneState is state.Clone with the copy's allocations recycled from the
-// pool: the page map of a previously released snapshot is reused via
+// pool: the top slice of a previously released snapshot is reused via
 // state.CloneInto. Engines call it on every spawn for the task's architected
 // snapshot and return the snapshot with ReleaseState when the task retires.
 func (p *Pool) CloneState(s *state.State) *state.State {
@@ -126,7 +127,7 @@ func (p *Pool) CloneState(s *state.State) *state.State {
 }
 
 // ReleaseState returns a snapshot obtained from CloneState to the pool. The
-// caller must be the last holder: the snapshot's page map is scribbled over
+// caller must be the last holder: the snapshot's top slice is scribbled over
 // on the next CloneState. A nil s is a no-op.
 func (p *Pool) ReleaseState(s *state.State) {
 	if s == nil {

@@ -165,7 +165,7 @@ type slaveEnv struct {
 
 	// ckRd reads the checkpoint diff through a reader-owned cursor: the
 	// diff may be shared by every in-flight task of a fork epoch (lazy
-	// checkpoints), so the env must not touch its page caches.
+	// checkpoints), so the env must not touch its leaf caches.
 	ckRd mem.OverlayReader
 
 	pc uint64
