@@ -35,10 +35,11 @@
 // performance modeling (the paradigm's central decoupling, preserved in the
 // simulator's structure).
 //
-// The verify/commit unit (Retirer, retire.go) and the master's fork policy
-// (ForkPolicy) are engine-agnostic: internal/parallel retires and forks
-// through the same code, supplying only its own clock and recovery through
-// the Engine interface.
+// The verify/commit unit (Retirer, retire.go) and the master (Master,
+// master.go: run loop, fork policy and checkpoint rule) are engine-agnostic:
+// internal/parallel retires through the same Retirer and runs the same
+// Master, supplying only its own clock and recovery through the Engine
+// interface.
 package core
 
 import (
@@ -122,9 +123,10 @@ type Config struct {
 	// attach additional observers with obs.Attach, which chains.
 	OnLifecycle func(LifecycleEvent)
 
-	// DisableFastPath forces every execution context — master, slaves, and
-	// sequential fallback — onto the slow fetch+decode interpreter path,
-	// bypassing the predecoded instruction tables. Functionally the two
+	// DisableFastPath makes every execution context fetch and decode each
+	// instruction from memory, bypassing the predecoded instruction tables:
+	// slaves and sequential fallback step through cpu.Env, and the master
+	// runs its cpu.Code.RunToStop loop on a nil table. Functionally the two
 	// paths are identical (the machine's output never depends on this
 	// flag); the chaos harness runs both and diffs them.
 	DisableFastPath bool

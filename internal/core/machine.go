@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mssp/internal/distill"
 	"mssp/internal/isa"
@@ -20,15 +21,14 @@ type pend struct {
 
 // Machine is one MSSP machine instance, single-use: construct, Run, inspect.
 type Machine struct {
-	r    *Retirer
-	cfg  *Config // the retire unit's, defaults applied
-	dist *distill.Result
+	r   *Retirer
+	cfg *Config // the retire unit's, defaults applied
 
-	master master
-	// distCode is the predecoded distilled program the master runs over
-	// (nil when Config.DisableFastPath). It is immutable and shared across
-	// master lives.
-	distCode *isa.DecodedProgram
+	// master is the current master life (nil while the master is dead) and
+	// masterClock its model time: the later of the last commit at its
+	// reseed and MasterCPI per distilled instruction since.
+	master      *Master
+	masterClock float64
 
 	queue []*pend // program order; tail may be open
 
@@ -62,7 +62,7 @@ type Result struct {
 
 // New builds a machine for the given original program and distillation.
 func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) {
-	m := &Machine{dist: dist}
+	m := &Machine{}
 	r, err := NewRetirer(orig, dist, cfg, machineEngine{m})
 	if err != nil {
 		return nil, err
@@ -72,12 +72,6 @@ func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) 
 	}
 	m.r, m.cfg = r, &r.Cfg
 	m.slaveFree = make([]float64, r.Cfg.Slaves)
-	if !cfg.DisableFastPath {
-		// The deterministic master steps one distilled instruction per
-		// simulation event (master.go), so a fused table on distCode would
-		// never be consulted: plain predecode suffices.
-		m.distCode = isa.Predecode(dist.Prog)
-	}
 	return m, nil
 }
 
@@ -90,14 +84,18 @@ func (m *Machine) Run() (*Result, error) {
 			return nil, fmt.Errorf("core: committed instructions exceeded MaxCommitted=%d", m.cfg.MaxCommitted)
 		}
 
-		if !m.master.alive {
+		if m.master == nil {
 			m.drain()
 			continue
 		}
 
-		anchor, count, stop := m.runToFork()
-		if stop != masterForked {
-			continue // drain on the next iteration
+		stop, steps, anchor, count := m.master.Run(math.MaxUint64)
+		m.masterClock += float64(steps) * m.cfg.MasterCPI
+		if stop != MasterForked {
+			// Halted or lost (an unbounded Run never stops at MasterMax):
+			// drain on the next iteration.
+			m.master = nil
+			continue
 		}
 
 		// The fork closes the open task, if any.
@@ -106,12 +104,12 @@ func (m *Machine) Run() (*Result, error) {
 			open.T.EndCount = count
 			open.T.HasEnd = true
 			open.closed = true
-			open.closedAt = m.master.clock
+			open.closedAt = m.masterClock
 		}
 
 		// Commit everything that would have committed by now, so the new
 		// task's architected snapshot is as fresh as the hardware's.
-		if m.processDue(m.master.clock) {
+		if m.processDue(m.masterClock) {
 			continue // a squash reset the pipeline
 		}
 
@@ -123,8 +121,8 @@ func (m *Machine) Run() (*Result, error) {
 				squashed = true
 				break
 			}
-			if m.lastCommitEnd > m.master.clock {
-				m.master.clock = m.lastCommitEnd // stall
+			if m.lastCommitEnd > m.masterClock {
+				m.masterClock = m.lastCommitEnd // stall
 			}
 		}
 		if squashed || m.r.Done {
@@ -132,8 +130,8 @@ func (m *Machine) Run() (*Result, error) {
 		}
 
 		m.queue = append(m.queue, &pend{
-			Flight: m.r.Fork(anchor, m.master.log.Checkpoint(m.master.regs, m.master.memory), len(m.queue)),
-			forkAt: m.master.clock,
+			Flight: m.r.Fork(anchor, m.master.Checkpoint(), len(m.queue)),
+			forkAt: m.masterClock,
 		})
 	}
 
@@ -175,7 +173,7 @@ func (m *Machine) drain() {
 	}
 	if h := m.queue[0]; !h.closed {
 		h.closed = true
-		h.closedAt = m.master.clock
+		h.closedAt = m.masterClock
 		// End remains unknown: the task runs until halt or cap.
 	}
 	m.retireHead()
@@ -293,20 +291,20 @@ func (m *Machine) clock(ev LifecycleEvent) float64 {
 		m.commitFree, m.lastCommitEnd = h.end, h.end
 		return h.end
 	case LifecycleSquash:
-		now := maxf(h.end, m.master.clock) + m.cfg.SquashPenalty
+		now := maxf(h.end, m.masterClock) + m.cfg.SquashPenalty
 		met.RecoveryCycles += m.cfg.SquashPenalty
 		m.lastCommitEnd, m.commitFree = now, now
 		return h.end
 	case LifecycleFallbackEnter:
-		return maxf(m.lastCommitEnd, m.master.clock)
+		return maxf(m.lastCommitEnd, m.masterClock)
 	case LifecycleFallbackExit:
 		cost := float64(ev.Steps) * m.cfg.SlaveCPI
-		now := maxf(m.lastCommitEnd, m.master.clock) + cost
+		now := maxf(m.lastCommitEnd, m.masterClock) + cost
 		met.RecoveryCycles += cost
 		m.lastCommitEnd, m.commitFree = now, now
 		return now
 	}
-	return m.master.clock // fork, predict, policy
+	return m.masterClock // fork, predict, policy
 }
 
 // discard is the machine's Engine recovery: every in-flight task and the
@@ -316,7 +314,16 @@ func (m *Machine) discard() {
 		m.r.Release(&p.Flight)
 	}
 	m.queue = nil
-	m.master.alive = false
+	m.master = nil
+}
+
+// reseed is the machine's Engine.Reseed: a new master life starts from
+// architected state at the later of the last commit and the master's own
+// clock. If the architected PC does not map into the distilled program the
+// master stays dead and the main loop continues in fallback mode.
+func (m *Machine) reseed() {
+	m.masterClock = maxf(m.lastCommitEnd, m.masterClock)
+	m.master = m.r.NewMaster(&m.r.Metrics)
 }
 
 func maxf(a, b float64) float64 {

@@ -46,9 +46,9 @@ type Engine interface {
 	// Discard throws away every in-flight task (the failing head included)
 	// and stops the master, after a squash.
 	Discard()
-	// Reseed restarts the master from architected state, calling
-	// Retirer.NewLife for the new life, or leaves it dead when the
-	// architected PC does not map into the distilled program.
+	// Reseed restarts the master from architected state through
+	// Retirer.NewMaster, or leaves it dead when the architected PC does not
+	// map into the distilled program.
 	Reseed()
 }
 
@@ -80,6 +80,9 @@ type Retirer struct {
 	// one does. In-flight tasks keep theirs: their snapshots predate it.
 	origCode  *isa.DecodedProgram
 	codeClean bool
+	// distCode is the predecoded distilled program every master life runs
+	// over (nil when the fast path is disabled); it is immutable and shared.
+	distCode *isa.DecodedProgram
 
 	anySquash           bool
 	lastSquashCommitted uint64
@@ -124,11 +127,17 @@ func NewRetirer(orig *isa.Program, dist *distill.Result, cfg Config, eng Engine)
 	if !cfg.DisableFastPath {
 		if cfg.DisableFusion {
 			r.origCode = isa.Predecode(orig)
+			r.distCode = isa.Predecode(dist.Prog)
 		} else {
 			// Slaves retire fused groups; the anchor set keeps every fork
 			// target out of group interiors so a task can always stop on an
 			// end-anchor crossing (the slave loop guards dynamically too).
 			r.origCode = fuse.Predecode(orig, fuse.Options{Anchors: r.anchors})
+			// The master's RunToStop loop is the one execution context whose
+			// register file is only observed at FORK stops, so its table may
+			// additionally elide dead intermediate writes (see the
+			// internal/fuse package comment for why nothing else may).
+			r.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
 		}
 		r.codeClean = true
 	}
@@ -150,34 +159,6 @@ func (r *Retirer) emit(ev LifecycleEvent) {
 // so a corrupted checkpoint can never reach the table.
 func (r *Retirer) predictOn() bool {
 	return r.Cfg.Predictor != nil && r.Cfg.Fault == nil
-}
-
-// NewLife begins a master life and returns its fork policy. A reseed is the
-// predictor's lockstep point: nothing is in flight and architected state is
-// the only truth, so the consultation plan for the coming life freezes here
-// and the per-site chain indices restart. tally receives the life's master
-// instruction and fork-skip counts.
-func (r *Retirer) NewLife(tally *Metrics) ForkPolicy {
-	r.firstFork = true
-	if r.predictOn() {
-		r.plan = r.Cfg.Predictor.Plan()
-		r.lifeCount = make(map[uint64]int)
-		if d := r.plan.Disabled(); d > 0 {
-			r.emit(LifecycleEvent{Kind: LifecyclePolicy, Disabled: d})
-		}
-	}
-	return ForkPolicy{
-		cfg:   &r.Cfg,
-		dist:  r.dist,
-		plan:  r.plan,
-		tally: tally,
-		// The master restarts on the fork at the architected PC; that fork
-		// must be taken unconditionally (it starts the first post-reseed
-		// task exactly where architected state stands), so the spacing
-		// counter is primed past any threshold.
-		since:     1 << 62,
-		crossings: make(map[uint64]uint64),
-	}
 }
 
 // consult overrides the checkpoint's unresolved registers with the frozen
@@ -509,80 +490,4 @@ func (r *Retirer) noteCodeWrites(d *state.Delta) {
 		}
 		return true
 	})
-}
-
-// ForkPolicy is a master life's fork-taking rule, shared by both machines'
-// masters. It counts the distilled instructions the master retires and
-// decides, FORK by FORK, whether to spawn a task there, translates indirect
-// jump targets, and declares the master lost past the run-ahead cap. One
-// value per master life; it is confined to the goroutine running the master.
-type ForkPolicy struct {
-	cfg   *Config
-	dist  *distill.Result
-	plan  *predict.Plan // nil when prediction is off: every site eligible
-	tally *Metrics
-
-	// since counts distilled instructions since the last taken fork;
-	// crossings counts dynamic executions of each anchor's FORK since then.
-	// The count for the taken anchor becomes the task's EndCount, so the
-	// slave lets the same number of occurrences pass.
-	since     uint64
-	crossings map[uint64]uint64
-}
-
-// Ran records n more distilled instructions retired by the master.
-func (p *ForkPolicy) Ran(n uint64) {
-	p.since += n
-	p.tally.MasterInsts += n
-}
-
-// Fork decides whether the master takes the FORK at anchor it just retired.
-// When it does, count is the number of times the anchor was crossed since
-// the previous taken fork.
-func (p *ForkPolicy) Fork(anchor uint64) (count uint64, take bool) {
-	p.crossings[anchor]++
-	if p.since <= p.cfg.MinTaskSpacing {
-		p.tally.ForksSkipped++
-		return 0, false
-	}
-	// The adaptive policy suppresses forks at sites whose checkpoints keep
-	// squashing, merging their regions into longer neighboring tasks. The
-	// life's first fork (primed spacing counter) is always taken: it
-	// restarts speculation exactly where architected state stands. The skip
-	// is bounded at half the run-ahead cap — a disabled site forks anyway
-	// once the master has run that far, so backing off the only site in a
-	// program merges regions instead of driving the master lost.
-	if p.since < 1<<61 && p.since <= p.cfg.MasterRunaheadCap/2 && !p.plan.Eligible(anchor) {
-		p.tally.PolicyForksSkipped++
-		return 0, false
-	}
-	p.since = 0
-	count = p.crossings[anchor]
-	clear(p.crossings)
-	return count, true
-}
-
-// Jump translates an indirect-jump target. Targets in distilled code are
-// original-program addresses (the distiller predicts original link values),
-// so they map into the distilled address space; an untranslatable target
-// that is not already distilled code means the master has lost its way.
-func (p *ForkPolicy) Jump(target uint64) (pc uint64, ok bool) {
-	if dpc, ok := p.dist.OrigToDist[target]; ok {
-		return dpc, true
-	}
-	return target, p.dist.Prog.InCode(target)
-}
-
-// Lost reports that the master ran past the run-ahead cap without taking a
-// fork: it is stuck in a loop the distiller broke.
-func (p *ForkPolicy) Lost() bool { return p.since > p.cfg.MasterRunaheadCap }
-
-// Budget returns how many instructions, at most max, the master may run
-// before Lost must be checked again. A freshly primed life gets one: its
-// first instruction must be the fork at the architected PC.
-func (p *ForkPolicy) Budget(max uint64) uint64 {
-	if p.since > p.cfg.MasterRunaheadCap {
-		return 1
-	}
-	return min(max, p.cfg.MasterRunaheadCap-p.since+1)
 }

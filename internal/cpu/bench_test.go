@@ -123,13 +123,37 @@ func BenchmarkRunMem(b *testing.B) {
 
 // BenchmarkSeqWorkload runs each experiment workload's train input to
 // completion on the predecoded devirtualized loop — the configuration the
-// SEQ baseline uses.
+// SEQ baseline uses. Unlike runBench's micro loops, most workloads are not
+// rerun-safe (they mutate their own input), so every iteration starts from
+// a fresh state built with the timer stopped, and must halt after exactly
+// the first run's step count.
 func BenchmarkSeqWorkload(b *testing.B) {
 	for _, w := range workloads.All() {
 		b.Run(w.Name, func(b *testing.B) {
 			p := w.Build(workloads.Train)
 			d := isa.Predecode(p)
-			runBench(b, p, func(s *state.State) (RunResult, error) { return NewCode(d).RunState(s, 50_000_000) })
+			first, err := NewCode(d).RunState(state.NewFromProgram(p, 1<<28), 50_000_000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !first.Halted {
+				b.Fatal("program did not halt")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := state.NewFromProgram(p, 1<<28)
+				b.StartTimer()
+				res, err := NewCode(d).RunState(s, 50_000_000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Steps != first.Steps || !res.Halted {
+					b.Fatalf("run %d: %d steps (halted=%v), first run %d", i, res.Steps, res.Halted, first.Steps)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(first.Steps), "ns/inst")
 		})
 	}
 }

@@ -253,7 +253,7 @@ var _ Env = StateEnv{}
 // fault). This is the seq(S, n) of the formal model.
 //
 // Seq runs on the devirtualized fast path (RunState); callers that hold the
-// program can go faster still by predecoding it and using Code.Run.
+// program can go faster still by predecoding it and using Code.RunState.
 func Seq(s *state.State, n uint64) (uint64, error) {
 	res, err := RunState(s, n)
 	return res.Steps, err

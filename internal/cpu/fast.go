@@ -8,8 +8,8 @@ package cpu
 //
 //   - Predecode: a Code runner serves instructions from an
 //     isa.DecodedProgram table instead of Fetch+Decode. This layer keeps
-//     the Env interface, so the master and slave contexts (which need
-//     their read/write interception) use it unchanged.
+//     the Env interface, so contexts that intercept reads and writes (the
+//     slow slave path, sequential fallback, profiling) use it unchanged.
 //   - Devirtualization: RunState / Code.RunState execute directly against
 //     a concrete *state.State and *mem.Memory, with no interface dispatch
 //     at all. The SEQ baseline, cpu.Seq and the refinement checker's
@@ -90,24 +90,6 @@ func (c *Code) Step(env Env) (isa.Inst, error) {
 	return in, nil
 }
 
-// Run executes at most max instructions in env through the predecoded
-// table, with Run's stopping rules.
-func (c *Code) Run(env Env, max uint64) (RunResult, error) {
-	var res RunResult
-	for res.Steps < max {
-		in, err := c.Step(env)
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if in.Op == isa.OpHalt {
-			res.Halted = true
-			break
-		}
-	}
-	return res, nil
-}
-
 // RunState executes at most max instructions directly against s on the
 // fully devirtualized loop: concrete register file and memory accesses,
 // predecoded fetches, no interface dispatch. Stopping rules and semantics
@@ -163,13 +145,13 @@ type StopResult struct {
 // devirtualized loop, additionally stopping — with the instruction's effects
 // applied and the PC advanced — at every FORK (reporting its anchor) and
 // every JALR (leaving the untranslated target in s.PC for the caller to
-// map). It exists for master engines: the true-parallel runtime's master
-// goroutine runs the distilled program here at full fast-path speed and
-// layers fork/translation policy on top, instead of stepping through the
-// Env interface. The dirty flag persists like RunState's.
+// map). It exists for the master: core.Master runs the distilled program
+// here at full fast-path speed for both MSSP engines and layers the
+// fork/translation policy on top, instead of stepping through the Env
+// interface. The dirty flag persists like RunState's.
 //
 // Every call also logs the address of each store it executes, in order;
-// Stores returns the log. A master engine folds it into its write overlay,
+// Stores returns the log. The master folds it into its write overlay,
 // so building a checkpoint costs the stores since the last fork, not a scan
 // of the memory image (docs/MEMORY.md). The log holds one word per store
 // of the call, so max bounds its size.

@@ -9,19 +9,20 @@
 // model in which "parallelism" is bookkeeping over a single goroutine. This
 // package executes the same paradigm with real concurrency — the master runs
 // ahead on its own goroutine while slaves execute speculative tasks on a
-// worker pool. Both machines retire tasks through one core.Retirer and fork
-// through one core.ForkPolicy, so verify precedence, commit, squash
-// accounting, sequential fallback, prediction and task construction are the
-// same code. Only two things differ, behind the core.Engine interface: the
-// clock (a virtual tick per event here, model cycles in core) and recovery
-// (here an epoch bump, release of the slots not in flight, a ring squash and
-// a stopped master life). Because commits only happen when a task's recorded
-// live-ins are consistent with architected state, the final architected
-// state is schedule-independent and must equal the deterministic machine's
-// (and SEQ's) bit for bit, no matter how the goroutines interleave. Squash
-// counts and the fork schedule may differ (the parallel master keeps running
-// while older work verifies, so it can be further ahead or behind than the
-// model predicts); the refinement argument does not depend on them.
+// worker pool. Both machines retire tasks through one core.Retirer and run
+// one core.Master, so the master loop, fork policy, checkpoints, verify
+// precedence, commit, squash accounting, sequential fallback, prediction and
+// task construction are the same code. Only two things differ, behind the
+// core.Engine interface: the clock (a virtual tick per event here, model
+// cycles in core) and recovery (here an epoch bump, release of the slots not
+// in flight, a ring squash and a stopped master life). Because commits only
+// happen when a task's recorded live-ins are consistent with architected
+// state, the final architected state is schedule-independent and must equal
+// the deterministic machine's (and SEQ's) bit for bit, no matter how the
+// goroutines interleave. Squash counts and the fork schedule may differ (the
+// parallel master keeps running while older work verifies, so it can be
+// further ahead or behind than the model predicts); the refinement argument
+// does not depend on them.
 //
 // # Threading model
 //
@@ -62,9 +63,7 @@ import (
 	"sync/atomic"
 
 	"mssp/internal/core"
-	"mssp/internal/cpu"
 	"mssp/internal/distill"
-	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/state"
 	"mssp/internal/task"
@@ -101,13 +100,8 @@ type Engine struct {
 	// pool and the predictor's program-order state. The pool is also used
 	// by the slave workers (Execute); each borrowed object stays
 	// goroutine-confined between the pool's internal lock hand-offs.
-	r    *core.Retirer
-	cfg  *core.Config // the retire unit's, defaults applied; read-only
-	dist *distill.Result
-
-	// distCode is the predecoded distilled program master lives run over
-	// (nil when the fast path is disabled).
-	distCode *isa.DecodedProgram
+	r   *core.Retirer
+	cfg *core.Config // the retire unit's, defaults applied; read-only
 
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
@@ -129,7 +123,7 @@ type Engine struct {
 }
 
 func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engine, error) {
-	e := &Engine{dist: dist}
+	e := &Engine{}
 	r, err := core.NewRetirer(orig, dist, cfg, e)
 	if err != nil {
 		return nil, err
@@ -138,17 +132,6 @@ func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engin
 	e.ring = newRing(e.cfg.TaskBuffer)
 	e.dispatchCh = make(chan *slot, e.cfg.TaskBuffer)
 	e.resultCh = make(chan *slot, e.cfg.TaskBuffer+e.cfg.Slaves+4)
-	if !cfg.DisableFastPath {
-		if cfg.DisableFusion {
-			e.distCode = isa.Predecode(dist.Prog)
-		} else {
-			// The master's RunToStop loop is the one execution context whose
-			// register file is only observed at FORK stops, so its distilled
-			// table may additionally elide dead intermediate writes (see the
-			// internal/fuse package comment for why nothing else may).
-			e.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
-		}
-	}
 	return e, nil
 }
 
@@ -366,25 +349,14 @@ func (e *Engine) drain() {
 // Reseed implements core.Engine: it starts a new master life from
 // architected state, if the architected PC maps into the distilled program.
 func (e *Engine) Reseed() {
-	arch := e.r.Arch
-	dpc, ok := e.dist.OrigToDist[arch.PC]
-	if !ok {
+	l := &masterLife{}
+	// The master's frozen prediction plan is immutable, so sharing it with
+	// the life's goroutine is race-free; the spawn handoff orders the writes.
+	if l.m = e.r.NewMaster(&l.tally); l.m == nil {
 		e.life = nil
 		return
 	}
-	img := arch.Mem.Snapshot()
-	img.CopyWords(e.dist.Prog.Code.Base, e.dist.Prog.Code.Words)
-	l := &masterLife{
-		forkCh: make(chan forkMsg),
-		exited: make(chan struct{}),
-		stop:   make(chan struct{}),
-		st:     &state.State{Regs: arch.Regs, PC: dpc, Mem: img},
-		code:   cpu.NewCode(e.distCode),
-	}
-	// The policy's frozen plan is immutable, so sharing it with the life's
-	// goroutine is race-free; the spawn handoff orders the writes.
-	l.pol = e.r.NewLife(&l.tally)
-	l.log = core.NewWriteLog(e.cfg)
+	l.forkCh, l.exited, l.stop = make(chan forkMsg), make(chan struct{}), make(chan struct{})
 	e.life = l
 	// The life's goroutine is tracked by its exited channel, not the worker
 	// WaitGroup: stopMaster/collectExit always waits for it.
