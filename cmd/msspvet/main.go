@@ -177,11 +177,10 @@ func main() {
 				fatal(fmt.Errorf("%s@%v: %v", tg.name, thr, err))
 			}
 			emit(tg.name, fmt.Sprintf("distilled@%v", thr), dfs)
-			// MV008 on the distilled program's table, elision included —
-			// elision redirects FusedInst.RdA/RdB, never the components, so
-			// the bijection must hold for the master's table too.
+			// MV008 on the distilled program's table: the master runs the
+			// same plain fused table shape as every other executor.
 			emit(tg.name, fmt.Sprintf("distilled@%v,fused", thr),
-				vet.CheckFused(fuse.Predecode(res.Prog, fuse.Options{Elide: true})))
+				vet.CheckFused(fuse.Predecode(res.Prog, fuse.Options{})))
 			if *taint {
 				// The master reseeds its PC at each surviving anchor's
 				// distilled address with whatever architected state the

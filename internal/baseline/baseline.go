@@ -57,8 +57,7 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 	// The baseline is the hottest sequential loop in the experiment suite:
 	// run it predecoded, devirtualized, and fused (cpu fast path with
 	// superinstruction dispatch; no anchors — nothing interrupts a
-	// sequential run, and elision stays off because the final register file
-	// is the result).
+	// sequential run).
 	res, err := cpu.NewCode(fuse.Predecode(p, fuse.Options{})).RunState(s, cfg.MaxSteps)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)

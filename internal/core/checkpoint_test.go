@@ -77,7 +77,7 @@ func overlayWords(o *mem.Overlay) map[uint64]uint64 {
 // new-word count and master instruction count must equal what a stepped
 // master that tees every store into its overlay holds at the same fork, and
 // both must end the life after the same instruction count. The legs cover
-// the fused elided table, the plain table (DisableFusion), the nil table
+// the fused table, the plain table (DisableFusion), the nil table
 // (DisableFastPath), full-memory checkpoints, and a run-ahead cap one
 // instruction past MinTaskSpacing, under which the master goes lost.
 func TestStoreLogCheckpointEquivalence(t *testing.T) {

@@ -133,11 +133,7 @@ func NewRetirer(orig *isa.Program, dist *distill.Result, cfg Config, eng Engine)
 			// target out of group interiors so a task can always stop on an
 			// end-anchor crossing (the slave loop guards dynamically too).
 			r.origCode = fuse.Predecode(orig, fuse.Options{Anchors: r.anchors})
-			// The master's RunToStop loop is the one execution context whose
-			// register file is only observed at FORK stops, so its table may
-			// additionally elide dead intermediate writes (see the
-			// internal/fuse package comment for why nothing else may).
-			r.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
+			r.distCode = fuse.Predecode(dist.Prog, fuse.Options{})
 		}
 		r.codeClean = true
 	}

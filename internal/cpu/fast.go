@@ -372,152 +372,19 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 			// step budget covers the whole group — otherwise the components
 			// execute singly below, so a budget expires mid-group exactly as
 			// it would unfused. Groups perform every architectural write in
-			// program order (modulo proved-dead elisions, see internal/fuse),
-			// contain no stopping ops, and end any store last, so the dirty
-			// transition happens after the group like after a single store.
+			// program order, contain no stopping ops, and end any store last,
+			// so the dirty transition happens after the group like after a
+			// single store.
 			if i < flen {
 				f := &fusedTab[i]
 				if k := f.Kind; k != isa.FuseNone && uint64(f.N) <= left {
-					if k >= isa.FuseLoopAB {
-						// Loop superinstruction: the final branch targets this
-						// group's own head, so iterate locally while the branch
-						// is taken and the budget allows whole groups. The
-						// components are pure register ops (no loads, stores,
-						// or stopping instructions), so nothing inside an
-						// iteration can fault, stop, or dirty the table; when
-						// the budget ceiling (iters) is hit, pc is back at the
-						// head and the remaining <N steps execute singly below.
-						if k == isa.FuseLoopChain {
-							// Chained loop: this ld+op+st group plus the
-							// alu+alu+br group at head+3, whose branch
-							// returns here. Each local iteration retires all
-							// six instructions; the store ends the first
-							// half, so a self-modifying hit leaves the local
-							// loop with pc at the second group's head and the
-							// rest executes singly off the (now stale) table
-							// path, exactly like the unfused order.
-							g := &fusedTab[i+3]
-							if left < 6 {
-								// Budget tail: dispatch the head group alone,
-								// like a plain ld+op+st.
-								wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-								v, ok := aluQuick(s, &f.B)
-								if !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-								m.Write(addr, rdr(s, f.C.Rs2))
-								if log != nil {
-									*log = append(*log, addr)
-								}
-								if addr-base < ilen {
-									ilen, flen, dirty = 0, 0, true
-								}
-								pc += 3
-								left -= 3
-								fusedN += 3
-								continue
-							}
-							iters := left / 6
-							var done uint64
-							for it := uint64(0); it < iters; it++ {
-								wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-								v, ok := aluQuick(s, &f.B)
-								if !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-								m.Write(addr, rdr(s, f.C.Rs2))
-								if log != nil {
-									*log = append(*log, addr)
-								}
-								done += 3
-								if addr-base < ilen {
-									ilen, flen, dirty = 0, 0, true
-									pc += 3
-									break
-								}
-								if v, ok = aluQuick(s, &g.A); !ok {
-									v = aluVal(s, &g.A)
-								}
-								wrr(s, g.RdA, v)
-								if v, ok = aluQuick(s, &g.B); !ok {
-									v = aluVal(s, &g.B)
-								}
-								wrr(s, g.RdB, v)
-								done += 3
-								t, ok := brQuick(s, &g.C)
-								if !ok {
-									t = brTaken(s, &g.C)
-								}
-								if !t {
-									pc += 6
-									break
-								}
-							}
-							left -= done
-							fusedN += done
-							continue
-						}
-						n := uint64(f.N)
-						iters := left / n
-						var done uint64
-						exit := false
-						if k == isa.FuseLoopAAB {
-							for done < iters {
-								v, ok := aluQuick(s, &f.A)
-								if !ok {
-									v = aluVal(s, &f.A)
-								}
-								wrr(s, f.RdA, v)
-								if v, ok = aluQuick(s, &f.B); !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								done++
-								t, ok := brQuick(s, &f.C)
-								if !ok {
-									t = brTaken(s, &f.C)
-								}
-								if !t {
-									exit = true
-									break
-								}
-							}
-						} else {
-							for done < iters {
-								v, ok := aluQuick(s, &f.A)
-								if !ok {
-									v = aluVal(s, &f.A)
-								}
-								wrr(s, f.RdA, v)
-								done++
-								t, ok := brQuick(s, &f.B)
-								if !ok {
-									t = brTaken(s, &f.B)
-								}
-								if !t {
-									exit = true
-									break
-								}
-							}
-						}
-						if exit {
-							pc += n
-						}
-						fusedN += done * n
-						left -= done * n
-						continue
-					}
 					switch k {
 					case isa.FuseAluAlu:
 						v, ok := aluQuick(s, &f.A)
 						if !ok {
 							v = aluVal(s, &f.A)
 						}
-						wrr(s, f.RdA, v)
+						wrr(s, f.A.Rd, v)
 						if v, ok = aluQuick(s, &f.B); !ok {
 							v = aluVal(s, &f.B)
 						}
@@ -528,7 +395,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						if !ok {
 							v = aluVal(s, &f.A)
 						}
-						wrr(s, f.RdA, v)
+						wrr(s, f.A.Rd, v)
 						t, ok := brQuick(s, &f.B)
 						if !ok {
 							t = brTaken(s, &f.B)
@@ -543,11 +410,11 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						if !ok {
 							v = aluVal(s, &f.A)
 						}
-						wrr(s, f.RdA, v)
+						wrr(s, f.A.Rd, v)
 						if v, ok = aluQuick(s, &f.B); !ok {
 							v = aluVal(s, &f.B)
 						}
-						wrr(s, f.RdB, v)
+						wrr(s, f.B.Rd, v)
 						t, ok := brQuick(s, &f.C)
 						if !ok {
 							t = brTaken(s, &f.C)
@@ -558,7 +425,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 							pc += 3
 						}
 					case isa.FuseLdOp:
-						wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
+						wrr(s, f.A.Rd, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
 						v, ok := aluQuick(s, &f.B)
 						if !ok {
 							v = aluVal(s, &f.B)
@@ -570,7 +437,7 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						if !ok {
 							v = aluVal(s, &f.A)
 						}
-						wrr(s, f.RdA, v)
+						wrr(s, f.A.Rd, v)
 						addr := rdr(s, f.B.Rs1) + uint64(f.B.Imm)
 						m.Write(addr, rdr(s, f.B.Rs2))
 						if log != nil {
@@ -581,12 +448,12 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 						}
 						pc += 2
 					case isa.FuseLdAluSt:
-						wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
+						wrr(s, f.A.Rd, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
 						v, ok := aluQuick(s, &f.B)
 						if !ok {
 							v = aluVal(s, &f.B)
 						}
-						wrr(s, f.RdB, v)
+						wrr(s, f.B.Rd, v)
 						addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
 						m.Write(addr, rdr(s, f.C.Rs2))
 						if log != nil {

@@ -64,8 +64,7 @@ func loggedStores(table *isa.DecodedProgram, p *isa.Program, max, chunk uint64) 
 }
 
 // storeLogTables are the instruction tables a RunToStop runner may carry:
-// none (fetch through memory), plain predecode, fused, and the parallel
-// master's fused table with dead-write elision.
+// none (fetch through memory), plain predecode, and fused.
 var storeLogTables = []struct {
 	name  string
 	build func(p *isa.Program) *isa.DecodedProgram
@@ -73,15 +72,12 @@ var storeLogTables = []struct {
 	{"slow", func(*isa.Program) *isa.DecodedProgram { return nil }},
 	{"plain", isa.Predecode},
 	{"fused", func(p *isa.Program) *isa.DecodedProgram { return fuse.Predecode(p, fuse.Options{}) }},
-	{"fused-elide", func(p *isa.Program) *isa.DecodedProgram {
-		return fuse.Predecode(p, fuse.Options{Elide: true})
-	}},
 }
 
 // TestStoreLogEquivalence holds RunToStop's store log to the stepped
 // reference: on every table, at every chunk size, the logged addresses are
 // exactly the addresses the slow interpreter stores to, in order. The small
-// chunks cut fused groups, local loops and ld+op+st chains at every offset;
+// chunks cut fused groups, including ld+op+st triples, at every offset;
 // the self-modifying programs cover runners that go dirty mid-run.
 func TestStoreLogEquivalence(t *testing.T) {
 	type prog struct {

@@ -8,7 +8,9 @@
 // table. The devirtualized interpreter loops (cpu.runConcrete and the slave
 // fast path in internal/task) then retire a whole group per
 // dispatch, eliminating the per-instruction fetch/dispatch overhead that
-// dominates the predecoded interpreter's cost.
+// dominates the predecoded interpreter's cost. Every group is a plain 2–3
+// instruction in-order group, so one table shape serves the sequential
+// core, the refinement replay, the slaves and the master alike.
 //
 // # Safety
 //
@@ -34,32 +36,9 @@
 //   - Executors only take a fused dispatch when the remaining step budget
 //     covers the whole group; otherwise the components execute singly, so a
 //     budget can expire "mid-group" exactly as it would unfused.
-//
-// # Elision
-//
-// With Options.Elide, the pass additionally runs internal/dataflow liveness
-// and, for a non-final component whose written register is provably dead —
-// not read by a later component of the group, and either overwritten inside
-// the group or dead in every execution leaving it — redirects the write to
-// r0 (isa.FusedInst.RdA/RdB), eliding it. Liveness is computed with AllRegs
-// live at exits and at every FORK (a checkpoint captures the full register
-// file), so elision never changes any state an engine can observe at a stop.
-//
-// Elision is only sound for tables whose executor is never interrupted at an
-// arbitrary pc and then externally compared register-by-register: the
-// refinement auditor replays commits with a step-bounded runner and diffs
-// the full register file, and a step bound can split a group (executing it
-// unfused, writes included). The parallel engine's master is the one
-// context with no such observer — its register file is only read at FORK
-// stops (covered by the checkpoint injection) — so only the master's
-// distilled-code table is built with Elide.
 package fuse
 
-import (
-	"mssp/internal/cfg"
-	"mssp/internal/dataflow"
-	"mssp/internal/isa"
-)
+import "mssp/internal/isa"
 
 // Options tunes the fusion pass.
 type Options struct {
@@ -69,10 +48,6 @@ type Options struct {
 	// task starting there executes the group from its head). Nil is
 	// allowed: no pcs are excluded.
 	Anchors map[uint64]bool
-	// Elide enables liveness-backed dead-write elision (see the package
-	// comment for when that is sound). It requires a buildable CFG; when
-	// cfg.Build fails, fusion proceeds without elision.
-	Elide bool
 }
 
 // Predecode decodes p like isa.Predecode and attaches the superinstruction
@@ -80,7 +55,7 @@ type Options struct {
 // like a plain predecoded program.
 func Predecode(p *isa.Program, opts Options) *isa.DecodedProgram {
 	d := isa.Predecode(p)
-	d.SetFused(build(p, d, opts))
+	d.SetFused(build(d, opts))
 	return d
 }
 
@@ -91,7 +66,7 @@ func aluClass(op isa.Op) bool { return op >= isa.OpAdd && op <= isa.OpLdih }
 
 // build scans the decoded table and emits the fused-group table, or nil when
 // no group matched.
-func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst {
+func build(d *isa.DecodedProgram, opts Options) []isa.FusedInst {
 	base, insts, valid, words := d.Table()
 	n := len(insts)
 
@@ -102,23 +77,6 @@ func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst 
 	}
 	// interior[i]: pc base+i may be a group interior (not a task anchor).
 	interior := func(i int) bool { return !opts.Anchors[base+uint64(i)] }
-
-	var facts *dataflow.LiveFacts
-	if opts.Elide {
-		if g, err := cfg.Build(p); err == nil {
-			facts = dataflow.Live(g, dataflow.LivenessOptions{
-				// A FORK checkpoint captures the full register file.
-				AtPC: func(pc uint64) dataflow.RegSet {
-					if p.InstAt(pc).Op == isa.OpFork {
-						return dataflow.AllRegs
-					}
-					return 0
-				},
-				// Final architected state is compared word-for-word.
-				ExitLive: dataflow.AllRegs,
-			})
-		}
-	}
 
 	var fused []isa.FusedInst
 	emit := func(i int, kind isa.FuseKind, size int) {
@@ -132,7 +90,6 @@ func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst 
 		if size == 3 {
 			f.C = insts[i+2]
 		}
-		f.RdA, f.RdB = effectiveRd(f, 0, facts, base+uint64(i)), effectiveRd(f, 1, facts, base+uint64(i))
 	}
 
 	for i := 0; i < n; i++ {
@@ -148,22 +105,13 @@ func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst 
 		ld := func(k int) bool { return ok(k) && insts[i+k].Op == isa.OpLd }
 		st := func(k int) bool { return ok(k) && insts[i+k].Op == isa.OpSt }
 
-		// head(k): the branch at position k targets this group's head, so
-		// the group is a self-contained loop the dispatcher may iterate
-		// locally (the FuseLoop kinds).
-		head := func(k int) bool { return uint64(insts[i+k].Imm) == base+uint64(i) }
-
 		switch {
 		case ld(0) && alu(1) && st(2):
 			emit(i, isa.FuseLdAluSt, 3)
 		case ld(0) && alu(1):
 			emit(i, isa.FuseLdOp, 2)
-		case alu(0) && alu(1) && br(2) && head(2):
-			emit(i, isa.FuseLoopAAB, 3)
 		case alu(0) && alu(1) && br(2):
 			emit(i, isa.FuseAluAluBr, 3)
-		case alu(0) && br(1) && head(1):
-			emit(i, isa.FuseLoopAB, 2)
 		case alu(0) && br(1):
 			emit(i, isa.FuseAluBr, 2)
 		case alu(0) && st(1):
@@ -172,53 +120,7 @@ func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst 
 			emit(i, isa.FuseAluAlu, 2)
 		}
 	}
-
-	// Second sweep: chain a ld+op+st group to an immediately following
-	// alu+alu+br group whose branch returns to the load — the six-instruction
-	// read-modify-write counted loop (isa.FuseLoopChain). The successor's
-	// head must itself be interior: a chained dispatch crosses it without
-	// offering a stop, which is only allowed at non-anchor pcs. The successor
-	// entry is left as a plain FuseAluAluBr, so direct entry there (the loop's
-	// first half skipped by a jump) still dispatches it alone.
-	for i := range fused {
-		if fused[i].Kind != isa.FuseLdAluSt || i+3 >= n {
-			continue
-		}
-		g := &fused[i+3]
-		if g.Kind == isa.FuseAluAluBr && uint64(g.C.Imm) == base+uint64(i) && interior(i+3) {
-			fused[i].Kind = isa.FuseLoopChain
-		}
-	}
 	return fused
-}
-
-// effectiveRd returns the destination register component comp (0 = A, 1 = B)
-// should actually write: its architectural rd, or 0 when elision proves the
-// written value dead. The final component of a group is never elided.
-func effectiveRd(f *isa.FusedInst, comp int, facts *dataflow.LiveFacts, headPC uint64) uint8 {
-	group := []isa.Inst{f.A, f.B, f.C}[:int(f.N)]
-	in := group[comp]
-	if comp == len(group)-1 || !in.Op.HasRd() {
-		// B of a pair is the final component; its rd (if any) always lands.
-		return in.Rd
-	}
-	rd := in.Rd
-	if facts == nil || rd == 0 {
-		return rd
-	}
-	overwritten := false
-	for _, later := range group[comp+1:] {
-		if dataflow.Uses(later).Has(rd) {
-			return rd // read inside the group: the write must land
-		}
-		if d, ok := dataflow.Def(later); ok && d == rd {
-			overwritten = true
-		}
-	}
-	if overwritten || !facts.After(headPC+uint64(len(group))-1).Has(rd) {
-		return 0 // provably dead: elide the write
-	}
-	return rd
 }
 
 // Stat summarizes a fused table's static shape.
@@ -228,9 +130,6 @@ type Stat struct {
 	// Insts is the total component count over all groups (overlapping
 	// groups count their shared instructions once per group).
 	Insts int
-	// Elided is the number of component writes redirected to r0 by the
-	// liveness pass.
-	Elided int
 	// ByKind counts groups per isa.FuseKind.
 	ByKind map[isa.FuseKind]int
 }
@@ -246,12 +145,6 @@ func Stats(d *isa.DecodedProgram) Stat {
 		st.Groups++
 		st.Insts += int(f.N)
 		st.ByKind[f.Kind]++
-		if f.A.Rd != 0 && f.RdA != f.A.Rd {
-			st.Elided++
-		}
-		if f.N == 3 && f.B.Rd != 0 && f.RdB != f.B.Rd {
-			st.Elided++
-		}
 	}
 	return st
 }

@@ -31,13 +31,13 @@ func kinds(d *isa.DecodedProgram) map[int]isa.FuseKind {
 }
 
 // TestMicroTightKinds pins the groups the matcher finds on the tight
-// counted loop: the loop body closes into a local-loop superinstruction.
+// counted loop: the loop body is one alu+alu+br group per iteration.
 func TestMicroTightKinds(t *testing.T) {
 	d := Predecode(workloads.MicroTight(10), Options{})
 	want := map[int]isa.FuseKind{
-		0: isa.FuseAluAlu,  // ldi + first body addi
-		1: isa.FuseLoopAAB, // addi, addi, bne back to 1
-		2: isa.FuseAluBr,   // addi + bne (overlapping entry for interior entry-points)
+		0: isa.FuseAluAlu,   // ldi + first body addi
+		1: isa.FuseAluAluBr, // addi, addi, bne back to 1
+		2: isa.FuseAluBr,    // addi + bne (overlapping entry for interior entry-points)
 	}
 	if got := kinds(d); len(got) != len(want) {
 		t.Fatalf("kinds = %v, want %v", got, want)
@@ -50,16 +50,16 @@ func TestMicroTightKinds(t *testing.T) {
 	}
 }
 
-// TestMicroMemKinds pins the groups on the read-modify-write loop,
-// including the chain: ld+op+st at the head, alu+alu+br at the back-edge.
+// TestMicroMemKinds pins the groups on the read-modify-write loop:
+// ld+op+st at the head, alu+alu+br at the back-edge.
 func TestMicroMemKinds(t *testing.T) {
 	d := Predecode(workloads.MicroMem(10), Options{})
 	got := kinds(d)
-	if got[2] != isa.FuseLoopChain {
-		t.Fatalf("slot 2 fused as %v, want %v (all: %v)", got[2], isa.FuseLoopChain, got)
+	if got[2] != isa.FuseLdAluSt {
+		t.Fatalf("slot 2 fused as %v, want %v (all: %v)", got[2], isa.FuseLdAluSt, got)
 	}
 	if got[5] != isa.FuseAluAluBr {
-		t.Fatalf("slot 5 fused as %v, want %v (chain successor must stay a plain entry)", got[5], isa.FuseAluAluBr)
+		t.Fatalf("slot 5 fused as %v, want %v (all: %v)", got[5], isa.FuseAluAluBr, got)
 	}
 }
 
@@ -122,40 +122,10 @@ func TestNonCanonicalNeverFuses(t *testing.T) {
 	}
 }
 
-// TestElideRedirectsDeadWrite pins elision: with Elide on, a non-final
-// component whose destination is overwritten inside the group gets its
-// write redirected to r0; without Elide the architectural rd stays.
-func TestElideRedirectsDeadWrite(t *testing.T) {
-	p := prog(t, []isa.Inst{
-		{Op: isa.OpLdi, Rd: 1, Imm: 7}, // 0: r1 dead: overwritten at 1
-		{Op: isa.OpLdi, Rd: 1, Imm: 9}, // 1
-		{Op: isa.OpHalt},               // 2
-	})
-	plain := Predecode(p, Options{})
-	if f := plain.FusedTable()[0]; f.Kind != isa.FuseAluAlu || f.RdA != 1 {
-		t.Fatalf("plain: slot 0 = %+v, want alu+alu with RdA=1", f)
-	}
-	elided := Predecode(p, Options{Elide: true})
-	f := elided.FusedTable()[0]
-	if f.Kind != isa.FuseAluAlu || f.RdA != 0 {
-		t.Fatalf("elided: slot 0 = %+v, want alu+alu with RdA=0 (dead write elided)", f)
-	}
-	if f.A.Rd != 1 {
-		t.Fatalf("elided: component copy mutated (A.Rd=%d); elision must only redirect RdA", f.A.Rd)
-	}
-	st := Stats(elided)
-	if st.Elided != 1 {
-		t.Fatalf("Stats.Elided = %d, want 1", st.Elided)
-	}
-}
-
 // TestStats sanity-checks the static summary on the micro loops.
 func TestStats(t *testing.T) {
 	st := Stats(Predecode(workloads.MicroTight(10), Options{}))
-	if st.Groups != 3 || st.ByKind[isa.FuseLoopAAB] != 1 {
+	if st.Groups != 3 || st.ByKind[isa.FuseAluAluBr] != 1 {
 		t.Fatalf("MicroTight stats = %+v", st)
-	}
-	if st.Elided != 0 {
-		t.Fatalf("elision ran without Elide: %+v", st)
 	}
 }

@@ -11,9 +11,8 @@ package isa
 // and executes the instructions singly, so jumps into the middle of a group
 // need no special handling. Groups may overlap textually — each entry is
 // self-contained — and executing a group is defined to be exactly equivalent
-// to executing its components in order (every architectural write is
-// performed, in program order, unless the builder proved it dead and elided
-// it; see FusedInst.RdA).
+// to executing its components in order: every architectural write is
+// performed, in program order.
 
 // FuseKind enumerates the superinstruction shapes the fusion pass emits.
 type FuseKind uint8
@@ -37,25 +36,6 @@ const (
 	// FuseLdAluSt fuses a load, a register writer and a store: the
 	// read-modify-write idiom.
 	FuseLdAluSt
-	// FuseLoopAB is a FuseAluBr whose branch targets the group's own head —
-	// the addi-loop back-edge idiom closed into a cycle. An executor may
-	// iterate such a group locally (still bounded by its step budget),
-	// amortizing fetch and dispatch across every iteration of the loop.
-	// The loop kinds must stay last in the enum: dispatchers test
-	// k >= FuseLoopAB to route them to the iterating handler.
-	FuseLoopAB
-	// FuseLoopAAB is the three-component form of FuseLoopAB: two register
-	// writers and a branch back to the group's head — one local-loop
-	// iteration per tight counted-loop iteration.
-	FuseLoopAAB
-	// FuseLoopChain marks a ld+op+st group that is immediately followed by
-	// an alu+alu+br group whose branch targets this group's head: the
-	// six-instruction read-modify-write counted loop. The entry's own
-	// components are the ld+op+st triple (N == 3); the dispatcher chains to
-	// the successor entry at head+3 and iterates the pair locally. The
-	// successor remains an ordinary FuseAluAluBr entry, so control entering
-	// at head+3 directly still dispatches it alone.
-	FuseLoopChain
 )
 
 // String names the fuse kind for stats and vet findings.
@@ -75,12 +55,6 @@ func (k FuseKind) String() string {
 		return "op+st"
 	case FuseLdAluSt:
 		return "ld+op+st"
-	case FuseLoopAB:
-		return "loop:alu+br"
-	case FuseLoopAAB:
-		return "loop:alu+alu+br"
-	case FuseLoopChain:
-		return "loop:ld+op+st/alu+alu+br"
 	}
 	return "fuse(?)"
 }
@@ -88,21 +62,13 @@ func (k FuseKind) String() string {
 // FusedInst is one superinstruction: 2–3 consecutive decoded instructions
 // retired in a single dispatch. A, B and (for triples) C are verbatim copies
 // of the decoded components in program order — re-encoding them must
-// reproduce the original instruction words (the MV008 bijection invariant),
-// so elision is expressed separately through RdA/RdB rather than by editing
-// the copies.
+// reproduce the original instruction words (the MV008 bijection invariant).
 type FusedInst struct {
 	// Kind selects the executor's handler; FuseNone means no group here.
 	Kind FuseKind
 	// N is the component count (2 or 3): the step-count advance of one
 	// dispatch and the budget the executor must have left to take it.
 	N uint8
-	// RdA and RdB are the effective destination registers of components A
-	// and B. Normally RdA == A.Rd (likewise B); a builder running with
-	// liveness-backed elision sets one to 0 when the component's written
-	// value is provably dead, turning the write into a discarded r0 write
-	// with no extra dispatch cost. The final component is never elided.
-	RdA, RdB uint8
 	// A, B, C are the decoded components in program order; C is the zero
 	// Inst for pairs.
 	A, B, C Inst

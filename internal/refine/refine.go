@@ -100,10 +100,10 @@ func NewAuditor(orig *isa.Program, sp uint64, opts Options) *Auditor {
 		// One predecoded runner replays the whole reference trajectory; its
 		// dirty flag persists across commits, so a store into the code
 		// segment drops the replay onto the slow fetch path for the rest of
-		// the audit. The table is fused but never elided: the replay is
-		// step-bounded to each commit's length and the full register file
-		// is compared after every advance, so every architectural write
-		// must land (see the internal/fuse package comment).
+		// the audit. The table is fused: the replay is step-bounded to each
+		// commit's length, and a budget that splits a group executes its
+		// components singly, so every architectural write lands before the
+		// register file is compared.
 		refRun: cpu.NewCode(fuse.Predecode(orig, fuse.Options{})),
 		rep:    &Report{},
 	}

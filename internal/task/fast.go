@@ -41,9 +41,8 @@ func (t *Task) executeFast(env *slaveEnv, ex *Exec, cap uint64, remaining uint64
 	// Cancel polling runs on step-count boundaries. The single-step loop
 	// used to test ex.Steps%cancelEvery == 0; fused dispatch advances Steps
 	// by group sizes and would skip exact multiples, so the poll is due
-	// whenever Steps has reached nextPoll. Local-loop dispatches bound their
-	// iteration count by the same boundary, so a poll is never deferred by
-	// more than one group.
+	// whenever Steps has reached nextPoll — never deferred by more than one
+	// group.
 	nextPoll := ex.Steps
 
 	for ex.Steps < cap {
@@ -66,11 +65,7 @@ func (t *Task) executeFast(env *slaveEnv, ex *Exec, cap uint64, remaining uint64
 				return
 			}
 			if useFused {
-				limit := cap
-				if t.Cancel != nil && nextPoll < limit {
-					limit = nextPoll
-				}
-				if next, ok := t.dispatchFused(env, ex, fusedTab, pc, base, ilen, cap, limit, &fast); ok {
+				if next, ok := t.dispatchFused(env, ex, fusedTab, pc, base, ilen, cap, &fast); ok {
 					pc = next
 					if t.HasEnd && pc == t.End {
 						remaining--
@@ -239,13 +234,7 @@ func (t *Task) executeFast(env *slaveEnv, ex *Exec, cap uint64, remaining uint64
 // the group's interior (a slave must observe every end-anchor crossing; the
 // static Anchors option keeps known anchors out of interiors, and this
 // dynamic guard covers tasks whose end the builder did not know).
-//
-// The loop kinds additionally iterate locally, bounded by limit (the lesser
-// of the task budget and the next cancel-poll boundary) and only when the
-// task's end anchor is not the loop head itself — each pass over the head
-// must count as an anchor crossing, so an end-anchored head runs one
-// iteration per dispatch.
-func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, pc, base, ilen, cap, limit uint64, fast *bool) (uint64, bool) {
+func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, pc, base, ilen, cap uint64, fast *bool) (uint64, bool) {
 	f := &fusedTab[pc-base]
 	n := uint64(f.N)
 	if f.Kind == isa.FuseNone || ex.Steps+n > cap {
@@ -259,13 +248,13 @@ func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, 
 
 	switch f.Kind {
 	case isa.FuseAluAlu:
-		slaveAlu(env, &f.A, f.RdA)
-		slaveAlu(env, &f.B, f.B.Rd)
+		slaveAlu(env, &f.A)
+		slaveAlu(env, &f.B)
 		ex.Steps += 2
 		return pc + 2, true
 
 	case isa.FuseAluBr:
-		slaveAlu(env, &f.A, f.RdA)
+		slaveAlu(env, &f.A)
 		ex.Steps += 2
 		if slaveBr(env, &f.B) {
 			return uint64(f.B.Imm), true
@@ -273,8 +262,8 @@ func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, 
 		return pc + 2, true
 
 	case isa.FuseAluAluBr:
-		slaveAlu(env, &f.A, f.RdA)
-		slaveAlu(env, &f.B, f.RdB)
+		slaveAlu(env, &f.A)
+		slaveAlu(env, &f.B)
 		ex.Steps += 3
 		if slaveBr(env, &f.C) {
 			return uint64(f.C.Imm), true
@@ -282,13 +271,13 @@ func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, 
 		return pc + 3, true
 
 	case isa.FuseLdOp:
-		env.WriteReg(int(f.RdA), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
-		slaveAlu(env, &f.B, f.B.Rd)
+		env.WriteReg(int(f.A.Rd), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
+		slaveAlu(env, &f.B)
 		ex.Steps += 2
 		return pc + 2, true
 
 	case isa.FuseOpSt:
-		slaveAlu(env, &f.A, f.RdA)
+		slaveAlu(env, &f.A)
 		addr := env.ReadReg(int(f.B.Rs1)) + uint64(f.B.Imm)
 		env.WriteMem(addr, env.ReadReg(int(f.B.Rs2)))
 		ex.Steps += 2
@@ -298,8 +287,8 @@ func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, 
 		return pc + 2, true
 
 	case isa.FuseLdAluSt:
-		env.WriteReg(int(f.RdA), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
-		slaveAlu(env, &f.B, f.RdB)
+		env.WriteReg(int(f.A.Rd), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
+		slaveAlu(env, &f.B)
 		addr := env.ReadReg(int(f.C.Rs1)) + uint64(f.C.Imm)
 		env.WriteMem(addr, env.ReadReg(int(f.C.Rs2)))
 		ex.Steps += 3
@@ -307,92 +296,14 @@ func (t *Task) dispatchFused(env *slaveEnv, ex *Exec, fusedTab []isa.FusedInst, 
 			*fast = false
 		}
 		return pc + 3, true
-
-	case isa.FuseLoopAB:
-		iters := uint64(1)
-		if !t.HasEnd || t.End != pc {
-			if k := (limit - ex.Steps) / 2; k > 1 {
-				iters = k
-			}
-		}
-		for ; iters > 0; iters-- {
-			slaveAlu(env, &f.A, f.RdA)
-			ex.Steps += 2
-			if !slaveBr(env, &f.B) {
-				return pc + 2, true
-			}
-		}
-		return pc, true
-
-	case isa.FuseLoopAAB:
-		iters := uint64(1)
-		if !t.HasEnd || t.End != pc {
-			if k := (limit - ex.Steps) / 3; k > 1 {
-				iters = k
-			}
-		}
-		for ; iters > 0; iters-- {
-			slaveAlu(env, &f.A, f.RdA)
-			slaveAlu(env, &f.B, f.RdB)
-			ex.Steps += 3
-			if !slaveBr(env, &f.C) {
-				return pc + 3, true
-			}
-		}
-		return pc, true
-
-	case isa.FuseLoopChain:
-		// A full chained iteration retires both halves (six instructions);
-		// when the budget, the poll boundary, or the end anchor rules that
-		// out, the head half alone runs as a plain ld+op+st (its own guards
-		// passed above with n == 3).
-		if ex.Steps+6 > cap || (t.HasEnd && t.End-pc < 6) {
-			env.WriteReg(int(f.RdA), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
-			slaveAlu(env, &f.B, f.RdB)
-			addr := env.ReadReg(int(f.C.Rs1)) + uint64(f.C.Imm)
-			env.WriteMem(addr, env.ReadReg(int(f.C.Rs2)))
-			ex.Steps += 3
-			if addr-base < ilen {
-				*fast = false
-			}
-			return pc + 3, true
-		}
-		g := &fusedTab[pc-base+3]
-		iters := uint64(1)
-		if k := (limit - ex.Steps) / 6; k > 1 {
-			iters = k
-		}
-		for ; iters > 0; iters-- {
-			env.WriteReg(int(f.RdA), env.ReadMem(env.ReadReg(int(f.A.Rs1))+uint64(f.A.Imm)))
-			slaveAlu(env, &f.B, f.RdB)
-			addr := env.ReadReg(int(f.C.Rs1)) + uint64(f.C.Imm)
-			env.WriteMem(addr, env.ReadReg(int(f.C.Rs2)))
-			ex.Steps += 3
-			if addr-base < ilen {
-				// The store hit the code segment mid-chain: abandon the
-				// iteration and resume singly at the successor head, the
-				// same order unfused execution produces (the store precedes
-				// the instructions it may have modified).
-				*fast = false
-				return pc + 3, true
-			}
-			slaveAlu(env, &g.A, g.RdA)
-			slaveAlu(env, &g.B, g.RdB)
-			ex.Steps += 3
-			if !slaveBr(env, &g.C) {
-				return pc + 6, true
-			}
-		}
-		return pc, true
 	}
 	return 0, false
 }
 
 // slaveAlu executes one straight-line register-writer component
-// (OpAdd..OpLdih) against the slave environment, writing rd — the group's
-// effective destination, which elision may have redirected to r0.
-// Semantics mirror the single-step switch in executeFast case for case.
-func slaveAlu(env *slaveEnv, in *isa.Inst, rd uint8) {
+// (OpAdd..OpLdih) against the slave environment. Semantics mirror the
+// single-step switch in executeFast case for case.
+func slaveAlu(env *slaveEnv, in *isa.Inst) {
 	var v uint64
 	switch in.Op {
 	case isa.OpAdd:
@@ -446,7 +357,7 @@ func slaveAlu(env *slaveEnv, in *isa.Inst, rd uint8) {
 	case isa.OpLdih:
 		v = uint64(in.Imm)<<32 | env.ReadReg(int(in.Rs1))&0xffffffff
 	}
-	env.WriteReg(int(rd), v)
+	env.WriteReg(int(in.Rd), v)
 }
 
 // slaveBr evaluates a conditional-branch component against the slave

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"testing"
 
 	"mssp/internal/asm"
@@ -189,6 +190,94 @@ func TestExecuteFastSlowEquivalence(t *testing.T) {
 	})
 }
 
+// withSnapWord wraps a task builder so the task's architected snapshot holds
+// word at addr while the predecoded table keeps the program's original
+// instruction there. Slave fetches come from the table only until a store
+// hits the code range and from the snapshot after it, so the mismatch makes
+// the fetch source observable: a dispatcher that forgot to leave the table
+// would execute the stale word.
+func withSnapWord(mk func() *Task, addr uint64, in isa.Inst) func() *Task {
+	return func() *Task {
+		tk := mk()
+		tk.Snap.Mem.Write(addr, isa.Encode(in))
+		return tk
+	}
+}
+
+// requireKind fails unless the task's fused table heads a group of kind k
+// at pc, so a case meant to exercise one dispatcher arm cannot silently
+// fall back to single-stepping.
+func requireKind(t *testing.T, mk func() *Task, pc uint64, k isa.FuseKind) {
+	t.Helper()
+	if got := mk().Code.FusedTable()[pc].Kind; got != k {
+		t.Fatalf("slot %d fused as %v, want %v", pc, got, k)
+	}
+}
+
+// TestExecuteFusedGuards pins the slave dispatcher's guards one by one: a
+// store into the code range as the final component of a group must drop the
+// task off the predecoded table, and a task end inside a group's interior
+// must stop the task there instead of being stepped over.
+func TestExecuteFusedGuards(t *testing.T) {
+	t.Run("op+st-store-into-code", func(t *testing.T) {
+		src := `
+			        nop
+			        addi r3, r0, 4      ; 1: op+st head
+			        st   r0, 0(r3)      ; 2: store into code[4]
+			        nop
+			        ldi  r5, 1          ; 4: snapshot holds "ldi r5, 2"
+			        halt
+		`
+		mk := withSnapWord(mkCoded(t, src, 0, 0, false), 4, isa.Inst{Op: isa.OpLdi, Rd: 5, Imm: 2})
+		requireKind(t, mk, 1, isa.FuseOpSt)
+		ex := runBoth(t, mk, 100)
+		if v, ok := ex.LiveOut.Reg(5); ex.Outcome != OutcomeHalted || !ok || v != 2 {
+			t.Errorf("got %v, r5 = %d,%v; want halted with r5 = 2 from the snapshot", ex.Outcome, v, ok)
+		}
+	})
+	t.Run("ld+op+st-store-into-code", func(t *testing.T) {
+		// The read-modify-write loop of cpu's chainSelfModifyProgram: each
+		// ld+op+st stores into the head of the alu+alu+br group after it.
+		src := `
+			        ldi  r8, 5
+			        ldi  r1, 4
+			loop:   ld   r4, 0(r8)      ; 2: ld+op+st head
+			        addi r4, r4, 0
+			        st   r4, 0(r8)      ; 4: store into code[5]
+			        addi r9, r9, 1      ; 5: snapshot holds "addi r9, r9, 100"
+			        addi r1, r1, -1
+			        bnez r1, loop
+			        halt
+		`
+		mk := withSnapWord(mkCoded(t, src, 0, 0, false), 5, isa.Inst{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 100})
+		requireKind(t, mk, 2, isa.FuseLdAluSt)
+		ex := runBoth(t, mk, 1000)
+		if v, ok := ex.LiveOut.Reg(9); ex.Outcome != OutcomeHalted || !ok || v != 400 {
+			t.Errorf("got %v, r9 = %d,%v; want halted with r9 = 400 from the snapshot", ex.Outcome, v, ok)
+		}
+	})
+	// sumSrc fuses alu+alu+br at 1 and alu+br at 2, so an end at 3 lies in
+	// the interior of both: the dispatcher must decline them and step the
+	// addi singly to observe the crossing.
+	for _, tc := range []struct {
+		count, steps uint64
+	}{{1, 3}, {2, 6}} {
+		t.Run(fmt.Sprintf("end-in-interior-count-%d", tc.count), func(t *testing.T) {
+			mk := mkCoded(t, sumSrc, 0, 3, true)
+			requireKind(t, mk, 1, isa.FuseAluAluBr)
+			requireKind(t, mk, 2, isa.FuseAluBr)
+			wrap := func() *Task {
+				tk := mk()
+				tk.EndCount = tc.count
+				return tk
+			}
+			if ex := runBoth(t, wrap, 1000); ex.Outcome != OutcomeReachedEnd || ex.Steps != tc.steps {
+				t.Errorf("got %v/%d, want reached-end/%d", ex.Outcome, ex.Steps, tc.steps)
+			}
+		})
+	}
+}
+
 // TestExecuteFusedBudgetSweep overflows the fused loop at every cap from 1
 // up to past-halt: the budget must be able to expire at any offset inside a
 // fused group (the dispatcher declines groups that do not fit and executes
@@ -199,10 +288,11 @@ func TestExecuteFusedBudgetSweep(t *testing.T) {
 	}
 }
 
-// TestExecuteCancelFusedLoop pins cancel-poll liveness under local-loop
-// dispatch: a fused counted loop iterates inside a single dispatch, but the
-// iteration count is bounded by the poll boundary, so Cancel still fires
-// within roughly one poll period.
+// TestExecuteCancelFusedLoop pins cancel-poll liveness under fused
+// dispatch: each alu+alu+br dispatch advances Steps by three, stepping over
+// exact multiples of the poll period, so the poll must fire whenever Steps
+// has reached the next boundary — Cancel still lands within roughly one
+// poll period.
 func TestExecuteCancelFusedLoop(t *testing.T) {
 	src := `
 	        ldi  r1, 1000000

@@ -19,11 +19,6 @@ import (
 // dispatch the group headed there); the bijection makes the overlap safe,
 // because every entry independently re-derives from the same raw words.
 //
-// Register elision (fuse.Options.Elide) intentionally redirects a group's
-// effective destination (FusedInst.RdA/RdB) away from the component's Rd;
-// the components themselves still carry the original registers, so elided
-// tables pass the bijection unchanged.
-//
 // A program with no fused table yields no findings: MV008 judges tables,
 // not their absence.
 func CheckFused(d *isa.DecodedProgram) []Finding {
